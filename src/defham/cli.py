@@ -277,8 +277,8 @@ def validate_scenario(doc) -> None:
                 raise ScenarioError(f"/{key}: must be nonempty")
             if any(q == 0 for q in doc[key]):
                 raise ScenarioError(f"/{key}: q must be nonzero")
-    if kind == "bracket" and not doc["q_list"]:
-        raise ScenarioError("/q_list: must be nonempty")
+    if kind == "bracket" and -1 in doc["q_list"]:
+        raise ScenarioError("/q_list: q = -1 has vanishing antisymmetrization")
     n = doc.get("n")
     for key in ("hamiltonian", "f", "g"):
         if key in doc:
@@ -392,22 +392,7 @@ def _run_simulate(doc):
             raise ScenarioError(f"unknown simulate measure {check['measure']!r}")
         checks.add(check["name"], measured, check["threshold"], check.get("comparator", "le"))
     out = doc.get("output", "trajectory.csv")
-    return checks, {out: _trajectory_csv(trajectory)}
-
-
-def _trajectory_csv(trajectory: dyn.Trajectory) -> str:
-    n = trajectory.n
-    header = (
-        "t,"
-        + ",".join(f"x{i}" for i in range(1, n + 1))
-        + ","
-        + ",".join(f"y{i}" for i in range(1, n + 1))
-        + ",H"
-    )
-    lines = [header]
-    for t, z, h in zip(trajectory.ts, trajectory.zs, trajectory.energies):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *z, h)))
-    return "\n".join(lines) + "\n"
+    return checks, {out: dyn.trajectory_csv(trajectory)}
 
 
 def _run_verify_flow(doc):
@@ -481,8 +466,6 @@ def _run_bracket(doc):
     reports = []
     checks = Checks()
     for q in doc["q_list"]:
-        if q == -1:
-            raise ScenarioError("/q_list: q = -1 has vanishing antisymmetrization")
         max_adm = 0.0
         count = 0
         for _ in range(pairs):
@@ -550,11 +533,12 @@ def _run_morse(doc):
     main_complex = complexes[0]
     ranks = morse.homology_ranks(main_complex)
 
-    residual = max(
-        (p.residual for gens in main_complex.generators.values() for p in gens),
-        default=0.0,
-    )
-    checks.add("critical_point_residual", residual, 1e-10)
+    residuals = [p.residual for gens in main_complex.generators.values() for p in gens]
+    if residuals:
+        checks.add("critical_point_residual", max(residuals), 1e-10)
+    else:
+        # an empty complex has nothing to certify; it must not pass vacuously
+        checks.add_bool("critical_points_found", False)
 
     if "expect_ranks" in doc:
         wanted = {int(k): v for k, v in doc["expect_ranks"].items()}

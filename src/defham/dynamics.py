@@ -33,6 +33,7 @@ __all__ = [
     "integrate",
     "integrate_variational",
     "pullback_defect",
+    "trajectory_csv",
     "trajectory_to_csv",
 ]
 
@@ -416,8 +417,8 @@ def pullback_defect(
     return out
 
 
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write `t,x1..xn,y1..yn,H` rows with 17 significant digits."""
+def trajectory_csv(trajectory: Trajectory) -> str:
+    """`t,x1..xn,y1..yn,H` rows with 17 significant digits."""
     n = trajectory.n
     header = (
         "t,"
@@ -428,7 +429,11 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     )
     lines = [header]
     for t, z, h in zip(trajectory.ts, trajectory.zs, trajectory.energies):
-        values = [t, *z, h]
-        lines.append(",".join(f"{v:.17g}" for v in values))
+        lines.append(",".join(f"{v:.17g}" for v in (t, *z, h)))
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_to_csv(trajectory: Trajectory, path) -> None:
+    """Write trajectory_csv(trajectory) to ``path``."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trajectory_csv(trajectory))

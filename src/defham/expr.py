@@ -8,8 +8,10 @@ only simplifications applied.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -632,23 +634,44 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
     return ns["_f"]
 
 
+class _CompiledJet:
+    """Compiled value and gradient of one expression, and its Hessian,
+    compiled on first use."""
+
+    def __init__(self, e: Node):
+        self.variables = _variable_list(e.n)
+        self.grads = [differentiate(e, v) for v in self.variables]
+        self.value = compile_scalar(e)
+        self.gradient = compile_vector(self.grads)
+        m = len(self.variables)
+        self.pairs = [(i, j) for i in range(m) for j in range(i, m)]
+
+    @functools.cached_property
+    def hessian(self) -> Callable[[Sequence[float]], tuple]:
+        return compile_vector(
+            [differentiate(self.grads[i], self.variables[j]) for i, j in self.pairs]
+        )
+
+
+# Frozen node -> its compiled jet.  Equal expressions share one entry, which
+# goes when the node that created it is freed: nothing outlives the
+# expressions in use.
+_COMPILED_JETS: "weakref.WeakKeyDictionary[Node, _CompiledJet]" = weakref.WeakKeyDictionary()
+
+
 class JetEvaluator:
     """Precompiled value/gradient/Hessian evaluation for one expression."""
 
     def __init__(self, e: Node):
         self.expression = e
         self.n = e.n
-        variables = _variable_list(e.n)
-        m = len(variables)
-        grads = [differentiate(e, v) for v in variables]
-        self._value = compile_scalar(e)
-        self._gradient = compile_vector(grads)
-        pairs = [(i, j) for i in range(m) for j in range(i, m)]
-        self._pairs = pairs
-        self._hessian = compile_vector(
-            [differentiate(grads[i], variables[j]) for i, j in pairs]
-        )
-        self._m = m
+        compiled = _COMPILED_JETS.get(e)
+        if compiled is None:
+            compiled = _COMPILED_JETS[e] = _CompiledJet(e)
+        self._compiled = compiled
+        self._value = compiled.value
+        self._gradient = compiled.gradient
+        self._m = len(compiled.variables)
 
     def value(self, z) -> float:
         return self._value(z)
@@ -659,8 +682,8 @@ class JetEvaluator:
     def hessian(self, z) -> np.ndarray:
         m = self._m
         out = np.empty((m, m))
-        flat = self._hessian(z)
-        for (i, j), value in zip(self._pairs, flat):
+        flat = self._compiled.hessian(z)
+        for (i, j), value in zip(self._compiled.pairs, flat):
             out[i, j] = value
             out[j, i] = value
         return out

@@ -157,6 +157,24 @@ class TestRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_PASS
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_INVALID
 
+    def test_bracket_q_minus_one_is_invalid_for_validate_and_run(self, tmp_path):
+        doc = json.loads((SCENARIOS / "bracket_random.json").read_text())
+        doc["q_list"] = [0.5, -1.0]
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert run_scenario(path, tmp_path) == EXIT_INVALID
+        assert not (tmp_path / "report.json").exists()
+
+    def test_morse_without_critical_points_fails(self, tmp_path):
+        # H = x1 + y1 (x1^2 + 1): dH/dy1 never vanishes, so the complex is empty
+        doc = {"kind": "morse", "n": 1, "f": "x1", "w": ["x1^2 + 1"], "g": "0", "q_list": [1.0]}
+        path = write_doc(tmp_path, doc)
+        assert run_scenario(path, tmp_path) == EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"] == [
+            {"name": "critical_points_found", "measured": False, "threshold": True, "pass": False}
+        ]
+
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_doc(tmp_path, classify_doc())
         run_scenario(path, tmp_path)

@@ -4,13 +4,18 @@ Oracles: hand-computed derivatives and values for small expressions, and
 central finite differences for randomized gradient checks.
 """
 
+import gc
 import math
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from defham import expr as ex
+from defham.cli import _run_bracket
 
 from conftest import random_polynomial_expr, random_point
 
@@ -133,3 +138,113 @@ class TestCompiled:
     def test_used_variables(self):
         e = ex.parse("x1*y2 + 3", 2)
         assert ex.used_variables(e) == {("x", 1), ("y", 2)}
+
+
+class TestSharedCompile:
+    # each test compiles its own expression, so no entry is shared between tests
+    TEXT = "sin(x1)*y2 + exp(x2*y1)/(2 + x1^2) - y1^3"
+
+    @staticmethod
+    def counting_differentiate(monkeypatch):
+        calls = []
+        original = ex.differentiate
+
+        def counted(e, v):
+            calls.append(v)
+            return original(e, v)
+
+        monkeypatch.setattr(ex, "differentiate", counted)
+        return calls
+
+    def test_equal_trees_share_one_compile(self, monkeypatch):
+        text = "x1*y1 - cos(x2)*y2^2"
+        a, b = ex.parse(text, 2), ex.parse(text, 2)
+        assert a is not b and a == b
+        calls = self.counting_differentiate(monkeypatch)
+        ja, jb = ex.JetEvaluator(a), ex.JetEvaluator(b)
+        assert ja._compiled is jb._compiled
+        assert len(calls) == 4  # one gradient, differentiated once
+
+    def test_entry_goes_with_the_last_reference(self):
+        text = "exp(y1)/(3 + x1^2)"
+        probe = ex.parse(text, 1)
+        gc.disable()  # plain reference counting must free the entry
+        try:
+            e = ex.parse(text, 1)
+            jet = ex.JetEvaluator(e)
+            freed = weakref.ref(e)
+            assert probe in ex._COMPILED_JETS
+            del e, jet
+            assert freed() is None
+            assert probe not in ex._COMPILED_JETS
+        finally:
+            gc.enable()
+
+    def test_add_and_sub_hash_alike_but_compile_apart(self):
+        x, y = ex.var("x", 1, 1), ex.var("y", 1, 1)
+        plus, minus = ex.Add(1, x, y), ex.Sub(1, x, y)
+        assert hash(plus) == hash(minus) and plus != minus
+        jp, jm = ex.JetEvaluator(plus), ex.JetEvaluator(minus)
+        assert jp._compiled is not jm._compiled
+        assert (jp.value([1.0, 2.0]), jm.value([1.0, 2.0])) == (3.0, -1.0)
+        assert jm.gradient([1.0, 2.0]).tolist() == [1.0, -1.0]
+
+    def test_hessian_compiled_on_first_use_and_bit_identical(self, rng, monkeypatch):
+        e = ex.parse(self.TEXT, 2)
+        calls = self.counting_differentiate(monkeypatch)
+        jet = ex.JetEvaluator(e)
+        assert len(calls) == 4 and "hessian" not in vars(jet._compiled)
+        z = random_point(rng, 2)
+        lazy = jet.hessian(z)
+        assert len(calls) == 4 + 10
+        jet.hessian(z)
+        assert len(calls) == 4 + 10
+
+        # the Hessian as compiled eagerly, before compiles were shared
+        variables = [("x", 1), ("x", 2), ("y", 1), ("y", 2)]
+        grads = [ex.differentiate(e, v) for v in variables]
+        pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+        flat = ex.compile_vector([ex.differentiate(grads[i], variables[j]) for i, j in pairs])(z)
+        eager = np.empty((4, 4))
+        for (i, j), value in zip(pairs, flat):
+            eager[i, j] = eager[j, i] = value
+        assert (lazy == eager).all()
+
+    def test_threads_building_equal_jets_agree(self):
+        # the threaded sweep builds evaluators of equal expressions at once
+        text = "x1^2*y1 + sin(y1)/(2 + cos(x1))"
+        z = [0.3, -0.7]
+        want = ex.JetEvaluator(ex.parse(text, 1))
+        want = (want.gradient(z).tolist(), want.hessian(z).tolist())
+        results, errors = [], []
+
+        def build():
+            try:
+                for _ in range(20):
+                    jet = ex.JetEvaluator(ex.parse(text, 1))
+                    results.append((jet.gradient(z).tolist(), jet.hessian(z).tolist()))
+            except Exception as err:  # reported by the assertion below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert results == [want] * 120
+
+    def test_bracket_runs_repeat_their_differentiations(self, monkeypatch):
+        doc = {"n": 2, "seed": 7, "q_list": [0.5, 2.0], "pairs": 4, "points": 2, "jacobi_triples": 1}
+        calls = self.counting_differentiate(monkeypatch)
+        counts = []
+        for _ in range(2):
+            before = len(calls)
+            _run_bracket(doc)
+            counts.append(len(calls) - before)
+        assert counts[0] == counts[1] > 0
