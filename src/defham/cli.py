@@ -1,20 +1,20 @@
 """Scenario-driven command line front end.
 
 Usage:
-    defham run <scenario.json> [--out-dir DIR] [--threads N]
+    defham run <scenario.json> [--out-dir DIR]
     defham validate <scenario.json>
 
 Scenarios are JSON documents with a "kind" field selecting the pipeline:
 simulate, verify-flow, classify, bracket, morse or sweep.  Artifacts are
 written atomically (temp file + rename) and a machine-readable report with
 one record per check is produced alongside them.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 invalid input.
+pass, 1 a check failed or the pipeline failed (the report then holds a failed
+"pipeline" record), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -294,6 +294,12 @@ def validate_scenario(doc) -> None:
         raise ScenarioError("/c: conformal mode requires the rate c")
     if "box" in doc and len(doc["box"]) not in (n, 2 * n):
         raise ScenarioError(f"/box: expected {n} or {2 * n} entries")
+    if kind == "sweep" and "fibre_volume_ratio" not in doc["observables"]:
+        for i, check in enumerate(doc.get("checks", [])):
+            if check["type"] == "fibre_volume_power":
+                raise ScenarioError(
+                    f"/checks/{i}: fibre_volume_power needs the fibre_volume_ratio observable"
+                )
 
 
 def _parse_or_raise(text: str, n: int, where: str) -> ex.Node:
@@ -566,13 +572,16 @@ def _run_morse(doc):
     return checks, {doc.get("output", "morse_report.json"): _json_dumps(report)}
 
 
-def _sweep_row(doc, q: float):
-    row: dict = {"q": q, "error": ""}
+def _sweep_row(doc, q: float, regime_tols: set):
+    """One row of the sweep at q, with the regime violations of its flow
+    for each tolerance in ``regime_tols`` (a row whose flow failed counts
+    as one violation)."""
+    row: dict = {"q": q, "error": "", "violations": dict.fromkeys(regime_tols, 1)}
     try:
         n = doc["n"]
         local = dict(doc)
         local["q"] = q
-        wants_flow = any(
+        wants_flow = regime_tols or any(
             obs in doc["observables"]
             for obs in ("final_H", "delta_H", "delta_H_sign", "symplectic_defect")
         )
@@ -580,6 +589,8 @@ def _sweep_row(doc, q: float):
         if wants_flow:
             spec = _flow_spec(local)
             trajectory = dyn.integrate(spec, _z0(local))
+            for tol in regime_tols:
+                row["violations"][tol] = _regime_violations(spec, trajectory, tol)
         for obs in doc["observables"]:
             if obs == "final_H":
                 row[obs] = float(trajectory.energies[-1])
@@ -599,13 +610,13 @@ def _sweep_row(doc, q: float):
     return row
 
 
-def _run_sweep(doc, threads: int = 1):
-    q_list = doc["q_list"]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda q: _sweep_row(doc, q), q_list))
-    else:
-        rows = [_sweep_row(doc, q) for q in q_list]
+def _run_sweep(doc):
+    regime_tols = {
+        check.get("tol", 1e-8)
+        for check in doc.get("checks", [])
+        if check["type"] == "regime_trichotomy"
+    }
+    rows = [_sweep_row(doc, q, regime_tols) for q in doc["q_list"]]
     rows.sort(key=lambda r: r["q"])
 
     columns = ["q", *doc["observables"], "error"]
@@ -618,29 +629,27 @@ def _run_sweep(doc, threads: int = 1):
     for check in doc.get("checks", []):
         if check["type"] == "regime_trichotomy":
             tol = check.get("tol", 1e-8)
-            violations = 0
-            for row in rows:
-                violations += _regime_violations(doc, row["q"], tol)
+            violations = sum(row["violations"][tol] for row in rows)
             checks.add("regime_trichotomy_violations", violations, 0)
         elif check["type"] == "fibre_volume_power":
             tol = check.get("tol", 1e-15)
             n = doc["n"]
+            # a row whose ratio failed must not let the check pass
             worst = max(
                 abs(row["fibre_volume_ratio"] - math.sqrt(row["q"]) ** n)
+                if "fibre_volume_ratio" in row
+                else math.inf
                 for row in rows
-                if isinstance(row.get("fibre_volume_ratio"), float)
             )
             checks.add("fibre_volume_power", worst, tol)
     return checks, {doc.get("output", "sweep.csv"): csv}
 
 
-def _regime_violations(doc, q: float, tol: float) -> int:
-    """Sample-wise regime check: where sum H_x H_y > tol the sign of dH/dt
-    must equal sign(1/q - 1); at q = 1 the energy must be conserved."""
-    local = dict(doc)
-    local["q"] = q
-    spec = _flow_spec(local)
-    trajectory = dyn.integrate(spec, _z0(local))
+def _regime_violations(spec: dyn.FlowSpec, trajectory: dyn.Trajectory, tol: float) -> int:
+    """Sample-wise regime check of a trajectory of ``spec``: where
+    sum H_x H_y > tol the sign of dH/dt must equal sign(1/q - 1); at q = 1
+    the energy must be conserved."""
+    q = spec.q
     field = dyn.HamiltonianField(spec.hamiltonian, q)
     n = spec.n
     if q == 1:
@@ -653,23 +662,23 @@ def _regime_violations(doc, q: float, tol: float) -> int:
         coupling = float(g[:n] @ g[n:])
         if coupling <= tol:
             continue
-        dhdt = float(g @ field.field(z))
+        dhdt = float(g @ field.field_from_gradient(g))
         if math.copysign(1.0, dhdt) != expected:
             violations += 1
     return violations
 
 
 _RUNNERS = {
-    "simulate": lambda doc, threads: _run_simulate(doc),
-    "verify-flow": lambda doc, threads: _run_verify_flow(doc),
-    "classify": lambda doc, threads: _run_classify(doc),
-    "bracket": lambda doc, threads: _run_bracket(doc),
-    "morse": lambda doc, threads: _run_morse(doc),
+    "simulate": _run_simulate,
+    "verify-flow": _run_verify_flow,
+    "classify": _run_classify,
+    "bracket": _run_bracket,
+    "morse": _run_morse,
     "sweep": _run_sweep,
 }
 
 
-def run_scenario(scenario_path, out_dir=None, threads: int = 1) -> int:
+def run_scenario(scenario_path, out_dir=None) -> int:
     """Execute a scenario file; returns the process exit code."""
     path = Path(scenario_path)
     try:
@@ -686,10 +695,19 @@ def run_scenario(scenario_path, out_dir=None, threads: int = 1) -> int:
     out = Path(out_dir) if out_dir else path.parent
     started = time.perf_counter()
     try:
-        checks, artifacts = _RUNNERS[doc["kind"]](doc, threads)
+        checks, artifacts = _RUNNERS[doc["kind"]](doc)
     except (morse.MorseSpecError, ScenarioError, ex.ExprError, ValueError) as err:
         print(f"error: invalid scenario: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except (dyn.IntegrationError, morse.MorseConditionError, NotImplementedError) as err:
+        # the computation of a valid scenario failed: report it, do not crash
+        message = f"{type(err).__name__}: {err}"
+        print(f"error: pipeline failed: {message}", file=sys.stderr)
+        checks, artifacts = Checks(), {}
+        checks.records.append(
+            {"name": "pipeline", "measured": False, "threshold": True, "pass": False,
+             "error": message}
+        )
     elapsed = time.perf_counter() - started
 
     for name, content in artifacts.items():
@@ -728,12 +746,11 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario and write artifacts")
     run_p.add_argument("scenario")
     run_p.add_argument("--out-dir", default=None)
-    run_p.add_argument("--threads", type=int, default=1)
     val_p = sub.add_parser("validate", help="validate a scenario file")
     val_p.add_argument("scenario")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_scenario(args.scenario, args.out_dir, args.threads)
+        return run_scenario(args.scenario, args.out_dir)
     return validate_command(args.scenario)
 
 

@@ -84,13 +84,6 @@ class Trajectory:
     n: int
     space: str = "plane"
 
-    @property
-    def samples(self):
-        return [
-            (float(t), PhasePoint.from_array(z, self.space), float(h))
-            for t, z, h in zip(self.ts, self.zs, self.energies)
-        ]
-
 
 @dataclass
 class VariationalFlow:
@@ -119,8 +112,12 @@ class HamiltonianField:
         return np.array(self.field_list(z))
 
     def field_list(self, z) -> list:
-        """The field as a list of floats: the right-hand side of rkf45_path."""
-        g = self.jet.gradient(z).tolist()
+        """The field as a list of floats: the right-hand side of the integrators."""
+        return self.field_from_gradient(self.jet.gradient(z))
+
+    def field_from_gradient(self, g: np.ndarray) -> list:
+        """The field as a list of floats, given the gradient of H at the point."""
+        g = g.tolist()
         n = self.n
         return [self._qinv * v for v in g[n:]] + [-v for v in g[:n]]
 
@@ -154,7 +151,7 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
     za = z.as_array()
     g = f.gradient(za)
     n = f.n
-    lhs = float(g @ f.field(za))
+    lhs = float(g @ f.field_from_gradient(g))
     rhs = (1.0 / q - 1.0) * float(g[:n] @ g[n:])
     scale = (1.0 + 1.0 / abs(q)) * float(np.abs(g[:n]) @ np.abs(g[n:]))
     return abs(lhs - rhs) / max(1.0, scale)
@@ -166,22 +163,35 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
 # torus reduction happens only when samples are stored.
 
 
-def _rk4_step(rhs, z, h):
-    k1 = rhs(z)
-    k2 = rhs(z + 0.5 * h * k1)
-    k3 = rhs(z + 0.5 * h * k2)
-    k4 = rhs(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_path(rhs, z0, t_final, step, stride, observe):
-    z = np.asarray(z0, dtype=float)
+    """Classical RK4 with a fixed step of about ``step`` over [0, t_final].
+
+    The state is a list of Python floats, as in rkf45_path.  Each step
+    rounds exactly as the array form on float64 does: stage arguments
+    ``z + (0.5*h)*k`` and ``z + h*k``, and the update
+    ``z + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``.  A stage that raises
+    OverflowError or ZeroDivisionError (where float64 gives inf or nan), or
+    a non-finite step, raises IntegrationError.
+    """
+    z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
     h = t_final / nsteps
+    half = 0.5 * h
+    sixth = h / 6.0
     observe(0.0, z)
     for k in range(1, nsteps + 1):
-        z = _rk4_step(rhs, z, h)
-        if not np.all(np.isfinite(z)):
+        try:
+            k1 = rhs(z)
+            k2 = rhs([a + half * b for a, b in zip(z, k1)])
+            k3 = rhs([a + half * b for a, b in zip(z, k2)])
+            k4 = rhs([a + h * b for a, b in zip(z, k3)])
+        except (OverflowError, ZeroDivisionError) as err:
+            raise IntegrationError("solution blew up", k * h) from err
+        z = [
+            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, z)):
             raise IntegrationError("solution blew up", k * h)
         if k % stride == 0 or k == nsteps:
             observe(k * h, z)
@@ -347,7 +357,7 @@ def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     ts, zs, es, observe = _make_observer(spec, lambda z: f.energy(z))
     za = z0.as_array()
     if spec.integrator == "rk4":
-        rk4_path(f.field, za, spec.t_final, spec.step, spec.sample_stride, observe)
+        rk4_path(f.field_list, za, spec.t_final, spec.step, spec.sample_stride, observe)
     else:
         rkf45_path(
             f.field_list, za, spec.t_final, spec.rel_tol, spec.abs_tol, spec.sample_stride,
@@ -363,10 +373,8 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
 
     def rhs(state):
         z = state[:n2]
-        d = np.reshape(state[n2:], (n2, n2))
-        v = f.field(z)
-        dd = f.field_jacobian(z) @ d
-        return np.concatenate([v, dd.ravel()])
+        dd = f.field_jacobian(z) @ np.reshape(state[n2:], (n2, n2))
+        return f.field_list(z) + dd.ravel().tolist()
 
     ts: list[float] = []
     zs: list[np.ndarray] = []
@@ -388,8 +396,8 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
         rk4_path(rhs, state0, spec.t_final, spec.step, spec.sample_stride, observe)
     else:
         rkf45_path(
-            lambda state: rhs(state).tolist(), state0, spec.t_final, spec.rel_tol,
-            spec.abs_tol, spec.sample_stride, observe,
+            rhs, state0, spec.t_final, spec.rel_tol, spec.abs_tol, spec.sample_stride,
+            observe,
         )
     trajectory = Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
     return VariationalFlow(trajectory, np.array(ds))

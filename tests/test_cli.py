@@ -175,11 +175,99 @@ class TestRun:
             {"name": "critical_points_found", "measured": False, "threshold": True, "pass": False}
         ]
 
+    def test_fibre_volume_power_needs_its_observable(self, tmp_path):
+        doc = json.loads((SCENARIOS / "fibre_volume_sweep.json").read_text())
+        doc["observables"] = ["delta_H"]
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert run_scenario(path, tmp_path) == EXIT_INVALID
+        assert not (tmp_path / "report.json").exists()
+
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_doc(tmp_path, classify_doc())
         run_scenario(path, tmp_path)
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+
+BLOW_UP = {"hamiltonian": "y1*x1^2", "n": 1, "z0": [1, 0], "t_final": 2}
+
+
+def regime_sweep(**overrides):
+    doc = {
+        "kind": "sweep", "name": "regime", "n": 1, "q_list": [2.0, 1.0, 0.5],
+        "hamiltonian": "(x1^2 + y1^2)/2", "z0": [1.0, 2.0], "t_final": 1.0,
+        "integrator": {"type": "rk4", "step": 0.01},
+        "observables": ["delta_H"], "checks": [{"type": "regime_trichotomy"}],
+        "output": "sweep.csv",
+    }
+    doc.update(overrides)
+    return doc
+
+
+class TestSweepChecks:
+    def test_row_whose_flow_blows_up_is_a_violation(self, tmp_path):
+        # [DERIVED] xdot = x1^2 / q from x1 = 1 escapes at t = q < 2
+        path = write_doc(tmp_path, regime_sweep(q_list=[1.0, 0.5], **BLOW_UP))
+        assert run_scenario(path, tmp_path) == EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"] == [
+            {"name": "regime_trichotomy_violations", "measured": 2, "threshold": 0, "pass": False}
+        ]
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[1:] == [
+            "0.5,,solution blew up at t=0.53",
+            "1,,solution blew up at t=1.03",
+        ]
+
+    def test_regime_check_integrates_rows_without_flow_observables(self, tmp_path):
+        # every row counts as a violation unless its flow was integrated and checked
+        path = write_doc(tmp_path, regime_sweep(observables=["fibre_volume_ratio"]))
+        assert run_scenario(path, tmp_path) == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"] == [
+            {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
+        ]
+
+    def test_fibre_volume_power_fails_on_a_failed_row(self, tmp_path):
+        # the fibre volume needs q > 0; a failed row must fail the check
+        doc = json.loads((SCENARIOS / "fibre_volume_sweep.json").read_text())
+        doc["q_list"] = [-0.5, -0.25]
+        path = write_doc(tmp_path, doc)
+        assert run_scenario(path, tmp_path) == EXIT_CHECK_FAILURE
+        [record] = json.loads((tmp_path / "report.json").read_text())["checks"]
+        assert record["name"] == "fibre_volume_power" and record["pass"] is False
+        assert record["measured"] == float("inf")
+
+
+class TestPipelineFailures:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"kind": "simulate", "name": "blow-up", "q": 1.0,
+                 "integrator": {"type": "rk4", "step": 0.001}, **BLOW_UP},
+                "IntegrationError: solution blew up at t=1.003",
+            ),
+            (
+                {"kind": "morse", "name": "degenerate", "n": 2, "f": "x1^2",
+                 "w": ["0", "0"], "g": "0"},
+                "MorseConditionError: degenerate critical point",
+            ),
+        ],
+    )
+    def test_failure_is_reported_and_exits_one(self, tmp_path, capsys, doc, message):
+        path = write_doc(tmp_path, doc)
+        assert run_scenario(path, tmp_path) == EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["pass"] is False
+        [record] = report["checks"]
+        assert record["name"] == "pipeline" and record["pass"] is False
+        assert record["error"].startswith(message)
+        err = capsys.readouterr().err
+        assert f"error: pipeline failed: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "scenario.json"]
 
 
 class TestDeterminism:

@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from defham import dynamics
 from defham import expr as ex
+from defham.cli import _run_sweep
 from defham.dynamics import (
     FlowSpec,
     HamiltonianField,
@@ -333,6 +335,95 @@ class TestRKF45Kernel:
         with pytest.raises(IntegrationError, match="step size underflow"):
             rkf45_path(rhs, z0, 1.0, 1e-9, 1e-11, 1, lambda t, z: None)
         assert raised and set(raised) == {error}
+
+
+# Classical RK4 on float64 arrays.  The kernel must reproduce its paths bit
+# for bit and blow up at the same step.
+def _rk4_step(rhs, z, h):
+    k1 = rhs(z)
+    k2 = rhs(z + 0.5 * h * k1)
+    k3 = rhs(z + 0.5 * h * k2)
+    k4 = rhs(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rk4(rhs, z0, t_final, step):
+    z = np.asarray(z0, dtype=float)
+    nsteps = max(1, int(round(t_final / step)))
+    h = t_final / nsteps
+    path = [(0.0, z)]
+    for k in range(1, nsteps + 1):
+        z = _rk4_step(rhs, z, h)
+        if not np.all(np.isfinite(z)):
+            raise IntegrationError("solution blew up", k * h)
+        path.append((k * h, z))
+    return path
+
+
+class TestRK4Kernel:
+    def test_oscillator_path_is_bit_identical(self):
+        spec = FlowSpec(ex.parse(OSC, 1), 1, 2.0 / 3.0, step=1e-3, t_final=3.0)
+        traj = integrate(spec, PhasePoint((1.0,), (2.0,)))
+        field = HamiltonianField(spec.hamiltonian, spec.q)
+        expected = _reference_rk4(field.field, [1.0, 2.0], 3.0, 1e-3)
+        assert len(traj.ts) == len(expected) == 3001
+        for t, z, (t_ref, z_ref) in zip(traj.ts, traj.zs, expected):
+            assert t == t_ref
+            assert z.tobytes() == z_ref.tobytes()
+
+    def test_variational_path_is_bit_identical(self):
+        # [DERIVED] n = 2 co-integrated Jacobian: a 20-component state
+        h = ex.parse("y1^2/2 + y2^2/2 + (1 - cos(x1)) + x1*x2^2/4 - x2*y1/3", 2)
+        spec = FlowSpec(h, 2, 0.5, step=1e-2, t_final=2.0)
+        z0 = PhasePoint((0.7, -0.4), (0.3, 0.9))
+        vf = integrate_variational(spec, z0)
+        field = HamiltonianField(h, 0.5)
+
+        def rhs(state):
+            d = state[4:].reshape(4, 4)
+            dd = field.field_jacobian(state[:4]) @ d
+            return np.concatenate([field.field(state[:4]), dd.ravel()])
+
+        state0 = np.concatenate([z0.as_array(), np.eye(4).ravel()])
+        expected = _reference_rk4(rhs, state0, 2.0, 1e-2)
+        assert len(vf.trajectory.ts) == len(expected) == 201
+        for t, z, d, (t_ref, s_ref) in zip(
+            vf.trajectory.ts, vf.trajectory.zs, vf.jacobians, expected
+        ):
+            assert t == t_ref
+            assert np.concatenate([z, d.ravel()]).tobytes() == s_ref.tobytes()
+
+    def test_blow_up_raises_at_the_reference_step(self):
+        # [DERIVED] H = y1 x1^2 at q = 1: xdot = x1^2 from x1 = 1 escapes
+        # at t = 1; float64 overflows at step 1003 of 1e-3
+        spec = FlowSpec(ex.parse("y1*x1^2", 1), 1, 1.0, step=1e-3, t_final=2.0)
+        field = HamiltonianField(spec.hamiltonian, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError) as ref:
+            _reference_rk4(field.field, [1.0, 0.0], 2.0, 1e-3)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationError) as got:
+            integrate(spec, PhasePoint((1.0,), (0.0,)))
+        assert got.value.t == ref.value.t == 1003 * 1e-3
+        assert str(got.value) == "solution blew up at t=1.003"
+
+    def test_regime_sweep_integrates_each_q_once(self, monkeypatch):
+        calls = []
+        original = dynamics.rk4_path
+
+        def counting(rhs, z0, t_final, step, stride, observe):
+            calls.append(t_final)
+            return original(rhs, z0, t_final, step, stride, observe)
+
+        monkeypatch.setattr(dynamics, "rk4_path", counting)
+        doc = {
+            "n": 1, "q_list": [2.0, 1.0, 0.5], "hamiltonian": OSC, "z0": [1.0, 2.0],
+            "t_final": 0.5, "integrator": {"type": "rk4", "step": 0.01},
+            "observables": ["delta_H"], "checks": [{"type": "regime_trichotomy"}],
+        }
+        checks, _ = _run_sweep(doc)
+        assert checks.records == [
+            {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
+        ]
+        assert calls == [0.5] * 3
 
 
 class TestCsv:

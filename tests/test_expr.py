@@ -211,7 +211,7 @@ class TestSharedCompile:
         assert (lazy == eager).all()
 
     def test_threads_building_equal_jets_agree(self):
-        # the threaded sweep builds evaluators of equal expressions at once
+        # library users may build evaluators of equal expressions from several threads at once
         text = "x1^2*y1 + sin(y1)/(2 + cos(x1))"
         z = [0.3, -0.7]
         want = ex.JetEvaluator(ex.parse(text, 1))
