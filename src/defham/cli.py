@@ -280,26 +280,52 @@ def validate_scenario(doc) -> None:
     if kind == "bracket" and -1 in doc["q_list"]:
         raise ScenarioError("/q_list: q = -1 has vanishing antisymmetrization")
     n = doc.get("n")
-    for key in ("hamiltonian", "f", "g"):
-        if key in doc:
-            _parse_or_raise(doc[key], n, f"/{key}")
+    parsed = {
+        key: _parse_or_raise(doc[key], n, f"/{key}")
+        for key in ("hamiltonian", "f", "g")
+        if key in doc
+    }
     if "w" in doc:
         if len(doc["w"]) != n:
             raise ScenarioError(f"/w: expected {n} components, got {len(doc['w'])}")
-        for i, text in enumerate(doc["w"]):
-            _parse_or_raise(text, n, f"/w/{i}")
+        parsed["w"] = [_parse_or_raise(text, n, f"/w/{i}") for i, text in enumerate(doc["w"])]
     if "z0" in doc and len(doc["z0"]) != 2 * n:
         raise ScenarioError(f"/z0: expected {2 * n} coordinates, got {len(doc['z0'])}")
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
         raise ScenarioError("/c: conformal mode requires the rate c")
-    if "box" in doc and len(doc["box"]) not in (n, 2 * n):
-        raise ScenarioError(f"/box: expected {n} or {2 * n} entries")
+    if kind == "morse":
+        _validate_morse(doc, parsed["f"], parsed["w"], parsed["g"])
     if kind == "sweep" and "fibre_volume_ratio" not in doc["observables"]:
         for i, check in enumerate(doc.get("checks", [])):
             if check["type"] == "fibre_volume_power":
                 raise ScenarioError(
                     f"/checks/{i}: fibre_volume_power needs the fibre_volume_ratio observable"
                 )
+
+
+def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node) -> None:
+    """Build the MorseSpec of every q a run uses, and check the box against
+    the working dimension: n in base-only mode, else 2n."""
+    n = doc["n"]
+    space = doc.get("space", "plane")
+    try:
+        spec = morse.MorseSpec(n, f, w, g, space=space)
+    except morse.MorseSpecError as err:
+        raise ScenarioError(str(err)) from None
+    qs = [("/q", doc["q"])] if "q" in doc else []
+    for key in ("q_list", "adiabatic_q_list"):
+        qs += [(f"/{key}/{i}", q) for i, q in enumerate(doc.get(key, []))]
+    for where, q in qs:
+        try:
+            morse.MorseSpec(n, f, w, g, q=q, space=space)
+        except morse.MorseSpecError as err:
+            raise ScenarioError(f"{where}: {err}") from None
+    if "adiabatic_q_list" in doc and spec.base_only:
+        raise ScenarioError("/adiabatic_q_list: adiabatic deviation needs a nontrivial constraint")
+    try:
+        _morse_options(doc).box_for(n if spec.base_only else 2 * n)
+    except morse.MorseSpecError as err:
+        raise ScenarioError(f"/box: {err}") from None
 
 
 def _parse_or_raise(text: str, n: int, where: str) -> ex.Node:
@@ -662,7 +688,7 @@ def _regime_violations(spec: dyn.FlowSpec, trajectory: dyn.Trajectory, tol: floa
         coupling = float(g[:n] @ g[n:])
         if coupling <= tol:
             continue
-        dhdt = float(g @ field.field_from_gradient(g))
+        dhdt = float(g @ field.field_from_gradient(g.tolist()))
         if math.copysign(1.0, dhdt) != expected:
             violations += 1
     return violations

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class HamiltonianField:
         return self.jet.value(z)
 
     def gradient(self, z) -> np.ndarray:
-        return self.jet.gradient(z)
+        return np.array(self.jet.gradient(z))
 
     def field(self, z) -> np.ndarray:
         return np.array(self.field_list(z))
@@ -115,11 +115,12 @@ class HamiltonianField:
         """The field as a list of floats: the right-hand side of the integrators."""
         return self.field_from_gradient(self.jet.gradient(z))
 
-    def field_from_gradient(self, g: np.ndarray) -> list:
+    def field_from_gradient(self, g: Sequence[float]) -> list:
         """The field as a list of floats, given the gradient of H at the point."""
-        g = g.tolist()
         n = self.n
-        return [self._qinv * v for v in g[n:]] + [-v for v in g[:n]]
+        # -1.0 * v, not -v: an integer entry (a constant derivative, compiled
+        # as e.g. `(0)`) then gives -0.0, as it did on float64 arrays
+        return [self._qinv * v for v in g[n:]] + [-1.0 * v for v in g[:n]]
 
     def field_jacobian(self, z) -> np.ndarray:
         h = self.jet.hessian(z)
@@ -337,15 +338,14 @@ def _make_observer(spec: FlowSpec, energy: Callable):
     zs: list[np.ndarray] = []
     es: list[float] = []
     n = spec.n
+    torus = spec.space == "torus"
 
     def observe(t, z):
-        # energies on float64, where an overflow gives inf instead of raising
+        # energies on float64, where an overflow gives inf instead of raising;
+        # the energy is taken on the unwrapped state, so only the wrap copies
         z = np.asarray(z, dtype=float)
-        zz = np.array(z)
-        if spec.space == "torus":
-            zz[:n] = wrap_angles(zz[:n])
         ts.append(t)
-        zs.append(zz)
+        zs.append(np.concatenate((wrap_angles(z[:n]), z[n:])) if torus else z)
         es.append(energy(z))
 
     return ts, zs, es, observe
@@ -354,7 +354,7 @@ def _make_observer(spec: FlowSpec, energy: Callable):
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    ts, zs, es, observe = _make_observer(spec, lambda z: f.energy(z))
+    ts, zs, es, observe = _make_observer(spec, f.energy)
     za = z0.as_array()
     if spec.integrator == "rk4":
         rk4_path(f.field_list, za, spec.t_final, spec.step, spec.sample_stride, observe)
@@ -376,20 +376,14 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
         dd = f.field_jacobian(z) @ np.reshape(state[n2:], (n2, n2))
         return f.field_list(z) + dd.ravel().tolist()
 
-    ts: list[float] = []
-    zs: list[np.ndarray] = []
-    es: list[float] = []
+    ts, zs, es, observe_z = _make_observer(spec, f.energy)
     ds: list[np.ndarray] = []
 
     def observe(t, state):
-        state = np.asarray(state, dtype=float)  # as in _make_observer
-        z = np.array(state[:n2])
-        if spec.space == "torus":
-            z[: spec.n] = wrap_angles(z[: spec.n])
-        ts.append(t)
-        zs.append(z)
-        es.append(f.energy(state[:n2]))
-        ds.append(np.array(state[n2:]).reshape(n2, n2))
+        # one array per sample: the stored z and D are views of it
+        state = np.asarray(state, dtype=float)
+        observe_z(t, state[:n2])
+        ds.append(state[n2:].reshape(n2, n2))
 
     state0 = np.concatenate([z0.as_array(), np.eye(n2).ravel()])
     if spec.integrator == "rk4":

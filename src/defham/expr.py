@@ -676,8 +676,10 @@ class JetEvaluator:
     def value(self, z) -> float:
         return self._value(z)
 
-    def gradient(self, z) -> np.ndarray:
-        return np.array(self._gradient(z))
+    def gradient(self, z) -> tuple:
+        """The compiled tuple (d/dx1..d/dxn, d/dy1..d/dyn) at z; callers that
+        do array algebra convert it."""
+        return self._gradient(z)
 
     def hessian(self, z) -> np.ndarray:
         m = self._m
@@ -689,4 +691,4 @@ class JetEvaluator:
         return out
 
     def jet(self, z) -> Jet:
-        return Jet(self.value(z), self.gradient(z), self.hessian(z))
+        return Jet(self.value(z), np.array(self.gradient(z)), self.hessian(z))

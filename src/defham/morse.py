@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -245,7 +246,7 @@ class _System:
         ]
 
     # base-only mode works on x alone; slice accordingly
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> tuple:
         if self.base_only:
             z = np.concatenate([u, np.zeros(self.spec.n)])
             return self.jet.gradient(z)[: self.spec.n]
@@ -261,8 +262,8 @@ class _System:
     def rhs(self, u: list) -> list:
         """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats."""
         z = u + self._y_zeros if self.base_only else u
-        # zip stops at self.dim, which drops the y-gradient in base-only mode
-        return [s * g for s, g in zip(self._neg_scales, self.jet.gradient(z).tolist())]
+        # map stops at self.dim, which drops the y-gradient in base-only mode
+        return list(map(operator.mul, self._neg_scales, self.jet.gradient(z)))
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -286,7 +287,7 @@ class _System:
 
     def displacement(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Shortest v - u, reducing angular components to (-pi, pi]."""
-        d = np.asarray(v, dtype=float) - np.asarray(u, dtype=float)
+        d = np.subtract(v, u, dtype=float)
         if self.wrap:
             upto = self.dim if self.base_only else self.spec.n
             d[:upto] = (d[:upto] + math.pi) % TWO_PI - math.pi
@@ -325,16 +326,17 @@ def _newton(system: _System, seed: np.ndarray) -> Optional[np.ndarray]:
     span = max(hi - lo for lo, hi in system.box)
     for _ in range(opts.max_newton):
         g = system.gradient(u)
-        if not np.all(np.isfinite(g)):
+        if not all(map(math.isfinite, g)):
             return None
-        if np.max(np.abs(g)) <= opts.newton_tol:
+        if max(map(abs, g)) <= opts.newton_tol:
             return u
         h = system.hessian(u)
         try:
             step, *_ = np.linalg.lstsq(h, g, rcond=None)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10 * span:
+        # np.linalg.norm's own formula; a nan or inf norm fails the test
+        if not math.sqrt(step.dot(step)) <= 10 * span:
             return None
         u = u - step
         u = system.wrap_coords(u)
@@ -487,7 +489,7 @@ class _ShotResult:
     min_dist: np.ndarray  # closest approach per target along the path
     ts: list
     states: list
-    last_state: Optional[np.ndarray] = None
+    last_state: Optional[list] = None
 
 
 def _shoot(
@@ -506,8 +508,10 @@ def _shoot(
         pass
 
     def observe(t, z):
+        # the integrator hands over a new list each step, so z is kept as is;
+        # one array serves the distances and a kept state
+        result.last_state = z
         state = np.array(z)
-        result.last_state = state
         if keep_states:
             result.ts.append(t)
             result.states.append(state)
@@ -971,7 +975,7 @@ class _DeviationMeter:
                 continue
             w_vals.append(jet.value(z))
             dw[i, :] = jet.gradient(z)[:n]
-        residual = self.jet_f.gradient(z)[:n] + dw.T @ y
+        residual = np.array(self.jet_f.gradient(z)[:n]) + dw.T @ y
         rows = dw[[i for i, jet in enumerate(self.jets_w) if jet is not None], :]
         if rows.size:
             # projection of the residual onto the constraint-gradient span

@@ -175,6 +175,35 @@ class TestRun:
             {"name": "critical_points_found", "measured": False, "threshold": True, "pass": False}
         ]
 
+    @pytest.mark.parametrize(
+        "base,change,message",
+        [
+            ("morse_s1", {"q": 1.5}, "/q: q must lie in"),
+            ("adiabatic_s1", {"adiabatic_q_list": [1.0, 2.0]}, "/adiabatic_q_list/1: q must lie in"),
+            ("adiabatic_s1", {"box": [[-2, 2], [-2, 2]]}, "/box: search box must have 4 entries"),
+            ("morse_t2", {"adiabatic_q_list": [1.0, 0.5]}, "needs a nontrivial constraint"),
+        ],
+        ids=["q", "adiabatic_q", "box", "adiabatic_base_only"],
+    )
+    def test_morse_spec_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
+        doc = json.loads((SCENARIOS / f"{base}.json").read_text())
+        doc.update(change)
+        with pytest.raises(ScenarioError, match=message):
+            validate_scenario(doc)
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert run_scenario(path, tmp_path) == EXIT_INVALID
+        assert not (tmp_path / "report.json").exists()
+
+    def test_morse_box_sized_to_the_working_space(self):
+        # base-only (w = 0, g = 0) works in n coordinates, the multiplier system in 2n
+        torus = json.loads((SCENARIOS / "morse_t2.json").read_text())
+        validate_scenario(dict(torus, box=[[0, 6], [0, 6]]))
+        with pytest.raises(ScenarioError, match="/box: search box must have 2 entries"):
+            validate_scenario(dict(torus, box=[[0, 6]] * 4))
+        circle = json.loads((SCENARIOS / "morse_s1.json").read_text())
+        validate_scenario(dict(circle, box=[[-2, 2]] * 4))
+
     def test_fibre_volume_power_needs_its_observable(self, tmp_path):
         doc = json.loads((SCENARIOS / "fibre_volume_sweep.json").read_text())
         doc["observables"] = ["delta_H"]

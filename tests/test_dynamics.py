@@ -62,6 +62,16 @@ class TestField:
         with pytest.raises(ValueError):
             deformed_field(ex.parse(OSC, 1), 0.0, PhasePoint((1.0,), (0.0,)))
 
+    @pytest.mark.parametrize("text", ["x1^2/2 + y1^2/2 + y2", "x1 + 2*y1 + y2"])
+    def test_field_list_bit_identical_to_array_form(self, text):
+        # x2 is absent, so its derivative compiles to the integer (0): the
+        # field keeps the -0.0 that float64 arithmetic gives, float or not
+        f = HamiltonianField(ex.parse(text, 2), 0.5)
+        z = [1.0, -0.0, 0.5, -0.0]
+        g = np.array(f.jet.gradient(z), dtype=float)
+        want = np.concatenate([2.0 * g[2:], -g[:2]])
+        assert np.array(f.field_list(z), dtype=float).tobytes() == want.tobytes()
+
 
 class TestDissipationIdentity:
     def test_hand_case(self):

@@ -135,6 +135,11 @@ class TestCompiled:
         assert je.gradient(z) == pytest.approx(jet.gradient, rel=1e-12, abs=1e-12)
         assert je.hessian(z) == pytest.approx(jet.hessian, rel=1e-12, abs=1e-12)
 
+    def test_gradient_is_the_compiled_tuple(self):
+        # on Python floats the gradient is the compiled tuple of Python floats
+        g = ex.JetEvaluator(ex.parse("x1^2*y1 + sin(y1)/(2 + cos(x1))", 1)).gradient([0.3, -0.7])
+        assert type(g) is tuple and [type(v) for v in g] == [float, float]
+
     def test_used_variables(self):
         e = ex.parse("x1*y2 + 3", 2)
         assert ex.used_variables(e) == {("x", 1), ("y", 2)}
@@ -187,7 +192,7 @@ class TestSharedCompile:
         jp, jm = ex.JetEvaluator(plus), ex.JetEvaluator(minus)
         assert jp._compiled is not jm._compiled
         assert (jp.value([1.0, 2.0]), jm.value([1.0, 2.0])) == (3.0, -1.0)
-        assert jm.gradient([1.0, 2.0]).tolist() == [1.0, -1.0]
+        assert list(jm.gradient([1.0, 2.0])) == [1.0, -1.0]
 
     def test_hessian_compiled_on_first_use_and_bit_identical(self, rng, monkeypatch):
         e = ex.parse(self.TEXT, 2)
@@ -215,14 +220,14 @@ class TestSharedCompile:
         text = "x1^2*y1 + sin(y1)/(2 + cos(x1))"
         z = [0.3, -0.7]
         want = ex.JetEvaluator(ex.parse(text, 1))
-        want = (want.gradient(z).tolist(), want.hessian(z).tolist())
+        want = (list(want.gradient(z)), want.hessian(z).tolist())
         results, errors = [], []
 
         def build():
             try:
                 for _ in range(20):
                     jet = ex.JetEvaluator(ex.parse(text, 1))
-                    results.append((jet.gradient(z).tolist(), jet.hessian(z).tolist()))
+                    results.append((list(jet.gradient(z)), jet.hessian(z).tolist()))
             except Exception as err:  # reported by the assertion below
                 errors.append(err)
 

@@ -6,6 +6,8 @@ the torus height function cos(x1) + cos(x2) has the textbook Betti numbers
 (1, 2, 1); homology helpers are checked on hand-built matrices.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ from defham.morse import (
     find_critical_points,
     homology_ranks,
     mod2_rank,
+    _newton,
+    _newton_seeds,
+    _System,
 )
 
 
@@ -189,6 +194,83 @@ class TestComplex:
         assert len(report["critical_points"]) == 4
         assert report["homology_ranks"] == {"0": 1, "1": 2, "2": 1}
         assert "adiabatic" in report
+
+
+def _reference_newton(system, seed):
+    """_newton with NumPy checks on the gradient array and np.linalg.norm."""
+    opts = system.options
+    u = np.array(seed, dtype=float)
+    span = max(hi - lo for lo, hi in system.box)
+    for _ in range(opts.max_newton):
+        g = np.array(system.gradient(u))
+        if not np.all(np.isfinite(g)):
+            return None
+        if np.max(np.abs(g)) <= opts.newton_tol:
+            return u
+        h = system.hessian(u)
+        try:
+            step, *_ = np.linalg.lstsq(h, g, rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10 * span:
+            return None
+        u = u - step
+        u = system.wrap_coords(u)
+    return None
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestFloatKernels:
+    """The shooting rhs and Newton on Python floats against their array forms."""
+
+    SYSTEMS = [("circle q=1", circle_spec, 1.0), ("circle q=1/4", circle_spec, 0.25),
+               ("torus", lambda q: torus_spec(), 1.0)]
+
+    @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+    def test_rhs_bit_identical_to_array_form(self, rng, name, make, q):
+        system = _System(make(q), MorseOptions())
+        n = system.spec.n
+        points = [rng.uniform(-2.0, 2.0, system.dim).tolist() for _ in range(200)]
+        points += [[0.0] * system.dim, [-0.0] * system.dim, [1.0, -0.0, 0.5, 0.0][: system.dim]]
+        for u in points:
+            z = u + [0.0] * n if system.base_only else u
+            g = np.array(system.jet.gradient(z))[: system.dim]
+            assert _bits(system.rhs(u)) == _bits((-system.scales * g).tolist())
+
+    @pytest.mark.parametrize("make,seeds", [(circle_spec, 2401), (torus_spec, 49)])
+    def test_newton_matches_array_form_from_every_seed(self, make, seeds):
+        system = _System(make(), MorseOptions())
+        all_seeds = _newton_seeds(system)
+        assert len(all_seeds) == seeds
+        converged = 0
+        for seed in all_seeds:
+            got, want = _newton(system, seed), _reference_newton(system, seed)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                converged += 1
+        assert converged  # not vacuous
+
+    def test_newton_rejects_non_finite_gradient(self):
+        # x1^400 overflows to inf at x1 = 10, and inf - inf is nan
+        for text in ("x1^400", "x1^400 - x1^400 + x1^2"):
+            spec = MorseSpec(1, ex.parse(text, 1), [ex.parse("0", 1)], ex.parse("0", 1))
+            system = _System(spec, MorseOptions())
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = system.gradient(np.array([10.0]))
+                assert not math.isfinite(g[0])
+                assert _newton(system, np.array([10.0])) is None
+
+    def test_newton_rejects_over_long_step(self):
+        # for x1^3 the Newton step from x is x/2: 50 from 100, past 10 * span = 40
+        spec = MorseSpec(1, ex.parse("x1^3", 1), [ex.parse("0", 1)], ex.parse("0", 1))
+        system = _System(spec, MorseOptions())
+        assert _newton(system, np.array([100.0])) is None
+        assert _reference_newton(system, np.array([100.0])) is None
+        assert _newton(system, np.array([60.0])) is not None  # step 30 is accepted
 
 
 class TestHomologyHelpers:
