@@ -9,33 +9,19 @@ forms module.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
 from fractions import Fraction
-
-import numpy as np
 
 from . import expr as ex
 from .dynamics import HamiltonianField
 from .phase import PhasePoint
 
 __all__ = [
-    "BracketReport",
     "deformed_bracket",
     "bracket_expression",
     "antisymmetrized_bracket_expression",
     "admissibility_defect",
     "jacobi_defect",
-    "report_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    q: float
-    sample_count: int
-    max_admissibility_defect: float
-    max_jacobi_defect: float
 
 
 def deformed_bracket(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
@@ -101,13 +87,3 @@ def jacobi_defect(h: ex.Node, f: ex.Node, g: ex.Node, q: float, z: PhasePoint) -
         brk(brk(g, h), f),
     )
     return abs(ex.evaluate(cyclic, z))
-
-
-def report_to_json(report: BracketReport) -> str:
-    doc = {
-        "q": report.q,
-        "samples": report.sample_count,
-        "max_admissibility_defect": report.max_admissibility_defect,
-        "max_jacobi_defect": report.max_jacobi_defect,
-    }
-    return json.dumps(doc, sort_keys=True)

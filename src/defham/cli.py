@@ -743,7 +743,7 @@ def run_scenario(scenario_path, out_dir=None) -> int:
         "checks": checks.records,
         "pass": checks.all_pass,
     }
-    _atomic_write(out / doc.get("report", "report.json"), _json_dumps(report))
+    _atomic_write(out / "report.json", _json_dumps(report))
 
     for record in checks.records:
         status = "PASS" if record["pass"] else "FAIL"

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .phase import PhasePoint, omega_matrix, wrap_angles
+from .phase import PhasePoint, TangentVector, omega_matrix, wrap_angles
 
 __all__ = [
     "FlowSpec",
@@ -133,8 +133,6 @@ class HamiltonianField:
 
 def deformed_field(hamiltonian: ex.Node, q: float, z: PhasePoint):
     """X^q_H(z) = (q^{-1} dH/dy, -dH/dx) as a TangentVector."""
-    from .phase import TangentVector
-
     f = HamiltonianField(hamiltonian, q)
     v = f.field(z.as_array())
     return TangentVector.from_array(v)

@@ -593,7 +593,7 @@ def _codegen(e: Node) -> str:
     if isinstance(e, Const):
         v = e.value
         if v.denominator == 1:
-            return f"({v.numerator})" if v >= 0 else f"({v.numerator})"
+            return f"({v.numerator})"
         return f"({v.numerator}/{v.denominator})"
     if isinstance(e, Var):
         offset = 0 if e.kind == "x" else e.n

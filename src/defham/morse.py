@@ -25,7 +25,7 @@ import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -128,21 +128,27 @@ def _is_zero_expr(e: ex.Node) -> bool:
 @dataclass(frozen=True)
 class MorseOptions:
     """Numerical parameters of the Morse pipeline; defaults validated on the
-    bundled fixtures."""
+    bundled fixtures.
+
+    A morse scenario sets the fields through its keys ``box``, ``grid``,
+    ``mesh``, ``shoot_radius``, ``capture_radius`` and ``t_max``;
+    ``adiabatic_deviation`` widens ``capture_radius``.  The class constants
+    have one value in every run.
+    """
 
     search_box: Optional[tuple] = None  # per-coordinate (lo, hi); None = [-2,2]
     grid: int = 7
-    newton_tol: float = 1e-12
-    max_newton: int = 60
-    dedupe_distance: float = 1e-6
-    degenerate_tol: float = 1e-8
     shoot_radius: float = 0.05
     capture_radius: float = 1e-3
-    near_miss_radius: float = 0.1
     mesh: int = 48
     t_max: float = 200.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
+
+    newton_tol: ClassVar[float] = 1e-12
+    max_newton: ClassVar[int] = 60
+    dedupe_distance: ClassVar[float] = 1e-6
+    degenerate_tol: ClassVar[float] = 1e-8
+    rel_tol: ClassVar[float] = 1e-9  # coarse sweep and the m = 1 shots
+    abs_tol: ClassVar[float] = 1e-11
 
     def box_for(self, dim: int) -> list[tuple[float, float]]:
         if self.search_box is None:
@@ -221,18 +227,17 @@ class _System:
         self.options = options
         self.base_only = spec.base_only
         n = spec.n
+        self.wrap = spec.space == "torus"
         if self.base_only:
             self.dim = n
             self.jet = ex.JetEvaluator(spec.f)
             self.scales = np.ones(n)
-            self.wrap = spec.space == "torus"
         else:
             self.dim = 2 * n
             self.jet = ex.JetEvaluator(build_hamiltonian(spec))
             s = np.ones(2 * n)
             s[n:] = 1.0 / spec.q
             self.scales = s
-            self.wrap = spec.space == "torus"
         self.sqrt_scales = np.sqrt(self.scales)
         self._neg_scales = (-self.scales).tolist()
         self._y_zeros = [0.0] * n
@@ -244,6 +249,10 @@ class _System:
             for axis, (lo, hi) in enumerate(self.box)
             if not (self.wrap and (self.base_only or axis < n))
         ]
+
+    def coords(self, p: CriticalPoint) -> np.ndarray:
+        """The working coordinates of p: x alone in base-only mode."""
+        return np.array(p.z.x) if self.base_only else p.coords()
 
     # base-only mode works on x alone; slice accordingly
     def gradient(self, u: np.ndarray) -> tuple:
@@ -286,11 +295,14 @@ class _System:
         return math.sqrt(d.dot(d))  # np.linalg.norm's own formula, minus its overhead
 
     def displacement(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Shortest v - u, reducing angular components to (-pi, pi]."""
+        """Shortest v - u, reducing angular components to (-pi, pi].
+
+        v may be a stack of points, one per row.
+        """
         d = np.subtract(v, u, dtype=float)
         if self.wrap:
             upto = self.dim if self.base_only else self.spec.n
-            d[:upto] = (d[:upto] + math.pi) % TWO_PI - math.pi
+            d[..., :upto] = (d[..., :upto] + math.pi) % TWO_PI - math.pi
         return d
 
     def in_box(self, u, margin: float = 0.5) -> bool:
@@ -344,10 +356,7 @@ def _newton(system: _System, seed: np.ndarray) -> Optional[np.ndarray]:
 
 
 def find_critical_points(
-    spec: MorseSpec,
-    search_box=None,
-    grid: Optional[int] = None,
-    options: Optional[MorseOptions] = None,
+    spec: MorseSpec, options: Optional[MorseOptions] = None
 ) -> list[CriticalPoint]:
     """Newton iteration from every grid seed, deduplicated and index-checked.
 
@@ -355,12 +364,6 @@ def find_critical_points(
     eigenvalue within the degeneracy tolerance of zero.
     """
     options = options or MorseOptions()
-    if search_box is not None or grid is not None:
-        options = replace(
-            options,
-            search_box=tuple(search_box) if search_box is not None else options.search_box,
-            grid=grid if grid is not None else options.grid,
-        )
     system = _System(spec, options)
     found: list[np.ndarray] = []
     for seed in _newton_seeds(system):
@@ -415,7 +418,7 @@ def critical_index(
     """
     options = options or MorseOptions()
     system = _System(spec, options)
-    u = p.coords() if not spec.base_only else np.array(p.z.x)
+    u = system.coords(p)
     spectrum = np.linalg.eigvalsh(system.symmetrized_hessian(u))
     if np.min(np.abs(spectrum)) < options.degenerate_tol:
         raise MorseConditionError(
@@ -470,6 +473,12 @@ def critical_index(
 
 # ---------------------------------------------------------------------------
 # Flow-line counting by unstable-sphere shooting.
+
+# relative tolerance of the shots that bisect onto a separatrix
+_SEPARATRIX_REL_TOL = 1e-12
+# closest approach that sends a collapsed bracket to _pair_refine; moving it
+# changes which brackets are refined, and so the shot counts
+_REFINE_GATE = 0.5
 
 
 def _unstable_frame(system: _System, u: np.ndarray) -> np.ndarray:
@@ -567,9 +576,7 @@ def _fate(system: _System, shot: _ShotResult):
     return ("escaped", axis, side)
 
 
-def _pair_refine(
-    system, u_minus, frame, theta_a, theta_b, stop_points, keep_states, stages=4
-):
+def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_states):
     """Re-anchored shooting for separatrices too stiff for the angle alone.
 
     When the fast/slow eigenvalue ratio at the source is large the angular
@@ -584,9 +591,8 @@ def _pair_refine(
     Trial starts inside the capture ball are rejected so that only shots
     with a genuine transit count.
     """
-    opts = system.options
-    rel = min(opts.rel_tol, 1e-12)
-    delta = opts.capture_radius
+    rel = _SEPARATRIX_REL_TOL
+    delta = system.options.capture_radius
     shot_a = _angle_shot(system, u_minus, frame, theta_a, stop_points, rel, True)
     shot_b = _angle_shot(system, u_minus, frame, theta_b, stop_points, rel, True)
     prefix_ts: list = []
@@ -604,7 +610,7 @@ def _pair_refine(
             shot.ts = list(prefix_ts)
         return shot
 
-    for _ in range(stages):
+    for _ in range(4):
         for shot in (shot_a, shot_b):
             if shot.outcome == "captured":
                 return finish(shot)
@@ -629,10 +635,7 @@ def _pair_refine(
             zb = zb[:: max(1, len(zb) // 512)]
             cut = i_a + 1
             for j in range(i_a + 1):
-                d = zb - np.asarray(shot_a.states[j])
-                if system.wrap:
-                    upto = system.dim if system.base_only else system.spec.n
-                    d[:, :upto] = (d[:, :upto] + math.pi) % TWO_PI - math.pi
+                d = system.displacement(shot_a.states[j], zb)
                 if float(np.min(np.linalg.norm(d, axis=1))) > 1e-2:
                     cut = j
                     break
@@ -674,18 +677,17 @@ def _bisect_lines(
     splits the interval and both halves are searched.
 
     For strongly stiff spectra the angular window that reaches the capture
-    ball can lie below double precision, so a bracketed separatrix whose
-    best shot still approaches a target within ``near_miss_radius`` is
-    accepted once the interval has collapsed.
+    ball can lie below double precision.  A collapsed bracket that came
+    within ``_REFINE_GATE`` of a target, or whose fates are opposed escapes,
+    goes to ``_pair_refine``.  Either way a line counts only if a shot
+    entered a capture ball.
     """
-    opts = system.options
-    rel_tol = min(opts.rel_tol, 1e-12)
     lines = []
     work = [(lo, hi, fate_lo, fate_hi)]
     budget = 220
     while work and budget > 0:
         a, b, fa, fb = work.pop()
-        best = None  # (distance, angle, shot, target)
+        best = (np.inf, None)  # (distance, angle) of the closest approach
         captured = False
         for _ in range(70):
             budget -= 1
@@ -693,17 +695,17 @@ def _bisect_lines(
             if mid == a or mid == b or budget <= 0:
                 break
             shot = _angle_shot(
-                system, u_minus, frame, mid, stop_points, rel_tol, keep_states
+                system, u_minus, frame, mid, stop_points, _SEPARATRIX_REL_TOL,
+                keep_states,
             )
             fm = _fate(system, shot)
             if fm[0] == "captured":
                 lines.append((mid, shot))
                 captured = True
                 break
-            if shot.min_dist.size and np.isfinite(shot.min_dist).any():
-                k = int(np.argmin(shot.min_dist))
-                if best is None or shot.min_dist[k] < best[0]:
-                    best = (float(shot.min_dist[k]), mid, shot, k)
+            closest = float(np.min(shot.min_dist, initial=np.inf))
+            if closest < best[0]:
+                best = (closest, mid)
             if fm == fa:
                 a = mid
             elif fm == fb:
@@ -721,20 +723,13 @@ def _bisect_lines(
             and fa[1] == fb[1]
             and fa[2] == -fb[2]
         )
-        promising = best is not None and (
-            best[0] <= 5.0 * opts.near_miss_radius or opposed
-        )
+        promising = best[1] is not None and (best[0] <= _REFINE_GATE or opposed)
         if not captured and promising:
-            dist, theta, shot, k = best
             refined = _pair_refine(
                 system, u_minus, frame, a, b, stop_points, keep_states
             )
             if refined is not None:
-                lines.append((theta, refined))
-            elif dist <= opts.near_miss_radius:
-                shot.outcome = "captured"
-                shot.target = k
-                lines.append((theta, shot))
+                lines.append((best[1], refined))
     return lines
 
 
@@ -752,7 +747,7 @@ def _lines_from(
     refined by bisection onto the separatrix.
     """
     opts = system.options
-    u_minus = np.array(p_minus.z.x) if system.base_only else p_minus.coords()
+    u_minus = system.coords(p_minus)
     frame = _unstable_frame(system, u_minus)
     m = frame.shape[1]
     lines: dict[int, list] = {}
@@ -841,12 +836,8 @@ def count_flow_lines(
         )
     options = options or MorseOptions()
     system = _System(spec, options)
-
-    def coords(p: CriticalPoint) -> np.ndarray:
-        return np.array(p.z.x) if system.base_only else p.coords()
-
     others = [p for p in (all_points or []) if p not in (p_minus, p_plus)]
-    stop_points = [coords(p_plus)] + [coords(p) for p in others]
+    stop_points = [system.coords(p_plus)] + [system.coords(p) for p in others]
     lines, escaped = _lines_from(system, p_minus, stop_points)
     to_target = lines.get(0, [])
     if escaped > 0.5:
@@ -878,9 +869,6 @@ def build_complex(spec: MorseSpec, options: Optional[MorseOptions] = None) -> Mo
     for p in points:
         generators.setdefault(p.index, []).append(p)
 
-    def coords(p: CriticalPoint) -> np.ndarray:
-        return np.array(p.z.x) if system.base_only else p.coords()
-
     boundary: dict[int, np.ndarray] = {}
     counts: dict = {}
     for m, sources in sorted(generators.items()):
@@ -889,8 +877,8 @@ def build_complex(spec: MorseSpec, options: Optional[MorseOptions] = None) -> Mo
             continue
         matrix = np.zeros((len(rows), len(sources)), dtype=np.uint8)
         for col, p_minus in enumerate(sources):
-            stop_points = [coords(p) for p in rows] + [
-                coords(p) for p in points if p.index < m - 1
+            stop_points = [system.coords(p) for p in rows] + [
+                system.coords(p) for p in points if p.index < m - 1
             ]
             lines, _ = _lines_from(system, p_minus, stop_points)
             for row in range(len(rows)):

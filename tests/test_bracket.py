@@ -5,20 +5,16 @@ evaluated from jets (independent of the bracket implementation), plus hand
 cases on coordinate functions.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from defham import expr as ex
 from defham.bracket import (
-    BracketReport,
     admissibility_defect,
     antisymmetrized_bracket_expression,
     bracket_expression,
     deformed_bracket,
     jacobi_defect,
-    report_to_json,
 )
 from defham.phase import PhasePoint
 
@@ -127,12 +123,3 @@ class TestJacobi:
             z = PhasePoint.from_array(random_point(rng, 2))
             for q in (0.5, 2.0):
                 assert jacobi_defect(h, f, g, q, z) < 1e-8
-
-
-def test_report_to_json():
-    report = BracketReport(0.5, 100, 1.5e-13, 2.5e-11)
-    doc = json.loads(report_to_json(report))
-    assert doc["q"] == 0.5
-    assert doc["samples"] == 100
-    assert doc["max_admissibility_defect"] == 1.5e-13
-    assert doc["max_jacobi_defect"] == 2.5e-11

@@ -27,6 +27,7 @@ from defham.morse import (
     find_critical_points,
     homology_ranks,
     mod2_rank,
+    _lines_from,
     _newton,
     _newton_seeds,
     _System,
@@ -66,6 +67,11 @@ def inside_z_spec(q=1.0):
         ex.parse("(y1^2 + y2^2)/2", n),
         q=q,
     )
+
+
+# (id, spec builder taking q, q) of the fixtures the shooting tests run on
+SYSTEMS = [("circle q=1", circle_spec, 1.0), ("circle q=1/4", circle_spec, 0.25),
+           ("torus", lambda q: torus_spec(), 1.0)]
 
 
 class TestSpecValidation:
@@ -188,6 +194,27 @@ class TestComplex:
         with pytest.raises(ValueError):
             count_flow_lines(circle_spec(), points[0], points[0])
 
+    @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+    def test_every_counted_line_entered_its_ball(self, name, make, q):
+        # a line counts only if one of its shots came within capture_radius
+        # of the target it is registered to; at q = 1/4 collapsed brackets
+        # that fail _pair_refine have closest approaches of 0.45-0.5
+        spec, options = make(q), MorseOptions()
+        system = _System(spec, options)
+        points = find_critical_points(spec, options)
+        counted = 0
+        for p_minus in points:
+            stop_points = [system.coords(p) for p in points if p.index < p_minus.index]
+            if not stop_points:
+                continue
+            lines, _ = _lines_from(system, p_minus, stop_points)
+            for target, found in lines.items():
+                for _, shot in found:
+                    assert shot.outcome == "captured" and shot.target == target
+                    assert shot.min_dist[target] < options.capture_radius
+                    counted += 1
+        assert counted  # not vacuous
+
     def test_report_shape(self):
         complex_ = build_complex(torus_spec())
         report = complex_to_report(complex_, adiabatic=[(1.0, 0.5), (0.5, 0.1)])
@@ -225,9 +252,6 @@ def _bits(values):
 
 class TestFloatKernels:
     """The shooting rhs and Newton on Python floats against their array forms."""
-
-    SYSTEMS = [("circle q=1", circle_spec, 1.0), ("circle q=1/4", circle_spec, 0.25),
-               ("torus", lambda q: torus_spec(), 1.0)]
 
     @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
     def test_rhs_bit_identical_to_array_form(self, rng, name, make, q):
