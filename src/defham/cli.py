@@ -59,17 +59,20 @@ _INTEGRATOR_SCHEMA = {
     "additionalProperties": False,
 }
 
-_CHECK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "measure": {"type": "string"},
-        "threshold": {"type": "number"},
-        "comparator": {"enum": ["le", "ge"]},
-    },
-    "required": ["name", "measure", "threshold"],
-    "additionalProperties": False,
-}
+def _check_schema(*measures: str) -> dict:
+    """Schema of one check record whose measure is one of ``measures``."""
+    return {
+        "type": "object",
+        "properties": {
+            "name": {"type": "string"},
+            "measure": {"enum": list(measures)},
+            "threshold": {"type": "number"},
+            "comparator": {"enum": ["le", "ge"]},
+        },
+        "required": ["name", "measure", "threshold"],
+        "additionalProperties": False,
+    }
+
 
 _BASE = {
     "kind": {"enum": ["simulate", "verify-flow", "classify", "bracket", "morse", "sweep"]},
@@ -91,7 +94,7 @@ _KIND_SCHEMAS = {
             "t_final": {"type": "number", "exclusiveMinimum": 0},
             "sample_stride": {"type": "integer", "minimum": 1},
             "output": {"type": "string"},
-            "checks": {"type": "array", "items": _CHECK_SCHEMA},
+            "checks": {"type": "array", "items": _check_schema("energy_drift")},
         },
         "required": ["kind", "n", "q", "hamiltonian", "z0", "t_final"],
         "additionalProperties": False,
@@ -111,7 +114,11 @@ _KIND_SCHEMAS = {
             "mode": {"enum": ["symplectic", "conformal"]},
             "c": {"type": "number"},
             "output": {"type": "string"},
-            "checks": {"type": "array", "items": _CHECK_SCHEMA, "minItems": 1},
+            "checks": {
+                "type": "array",
+                "items": _check_schema("max_defect", "final_defect"),
+                "minItems": 1,
+            },
         },
         "required": ["kind", "n", "q", "hamiltonian", "z0", "t_final", "mode", "checks"],
         "additionalProperties": False,
@@ -289,6 +296,11 @@ def validate_scenario(doc) -> None:
         if len(doc["w"]) != n:
             raise ScenarioError(f"/w: expected {n} components, got {len(doc['w'])}")
         parsed["w"] = [_parse_or_raise(text, n, f"/w/{i}") for i, text in enumerate(doc["w"])]
+    if kind == "classify":
+        try:
+            poly_from_expression(parsed["hamiltonian"])
+        except ValueError as err:
+            raise ScenarioError(f"/hamiltonian: {err}") from None
     if "z0" in doc and len(doc["z0"]) != 2 * n:
         raise ScenarioError(f"/z0: expected {2 * n} coordinates, got {len(doc['z0'])}")
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
@@ -305,7 +317,7 @@ def validate_scenario(doc) -> None:
 
 def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node) -> None:
     """Build the MorseSpec of every q a run uses, and check the box against
-    the working dimension: n in base-only mode, else 2n."""
+    its working dimension ``MorseSpec.dim``."""
     n = doc["n"]
     space = doc.get("space", "plane")
     try:
@@ -323,7 +335,7 @@ def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node) -> None:
     if "adiabatic_q_list" in doc and spec.base_only:
         raise ScenarioError("/adiabatic_q_list: adiabatic deviation needs a nontrivial constraint")
     try:
-        _morse_options(doc).box_for(n if spec.base_only else 2 * n)
+        _morse_options(doc).box_for(spec.dim)
     except morse.MorseSpecError as err:
         raise ScenarioError(f"/box: {err}") from None
 
@@ -418,10 +430,8 @@ def _run_simulate(doc):
     trajectory = dyn.integrate(spec, _z0(doc))
     checks = Checks()
     for check in doc.get("checks", []):
-        if check["measure"] == "energy_drift":
-            measured = float(np.max(np.abs(trajectory.energies - trajectory.energies[0])))
-        else:
-            raise ScenarioError(f"unknown simulate measure {check['measure']!r}")
+        # the schema admits only energy_drift
+        measured = float(np.max(np.abs(trajectory.energies - trajectory.energies[0])))
         checks.add(check["name"], measured, check["threshold"], check.get("comparator", "le"))
     out = doc.get("output", "trajectory.csv")
     return checks, {out: dyn.trajectory_csv(trajectory)}
@@ -435,13 +445,7 @@ def _run_verify_flow(doc):
     values = [d for _, d in defects]
     checks = Checks()
     for check in doc["checks"]:
-        measure = check["measure"]
-        if measure == "max_defect":
-            measured = max(values)
-        elif measure == "final_defect":
-            measured = values[-1]
-        else:
-            raise ScenarioError(f"unknown verify-flow measure {measure!r}")
+        measured = max(values) if check["measure"] == "max_defect" else values[-1]
         checks.add(check["name"], measured, check["threshold"], check.get("comparator", "le"))
     artifact = _json_dumps(
         {"mode": mode, "defects": [{"t": t, "defect": d} for t, d in defects]}

@@ -34,7 +34,6 @@ __all__ = [
     "integrate_variational",
     "pullback_defect",
     "trajectory_csv",
-    "trajectory_to_csv",
 ]
 
 
@@ -431,9 +430,3 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     for t, z, h in zip(trajectory.ts, trajectory.zs, trajectory.energies):
         lines.append(",".join(f"{v:.17g}" for v in (t, *z, h)))
     return "\n".join(lines) + "\n"
-
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write trajectory_csv(trajectory) to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(trajectory_csv(trajectory))

@@ -689,6 +689,3 @@ class JetEvaluator:
             out[i, j] = value
             out[j, i] = value
         return out
-
-    def jet(self, z) -> Jet:
-        return Jet(self.value(z), np.array(self.gradient(z)), self.hessian(z))

@@ -12,9 +12,11 @@ isolated negative-G_q-gradient flow lines mod 2, and for q -> 0 the flow
 lines collapse onto the constraint set Z, recovering constrained gradient
 flow on w^{-1}(0).
 
-When every w_i vanishes identically and g = 0 the pipeline degenerates to
-ordinary Morse theory of f on the base (used by the torus sanity fixture);
-in that mode all computations run in the n base coordinates only.
+When every w_i vanishes identically and g = 0 (k = 0) the construction is
+ordinary Morse theory of f on the base (used by the torus sanity fixture).
+That case runs on the same code path, in a working space of the first
+MorseSpec.dim = n coordinates: f reads no y, so its jet never reads past
+them.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ class MorseSpec:
     def base_only(self) -> bool:
         return self.constraint_rank == 0 and _is_zero_expr(self.g)
 
+    @property
+    def dim(self) -> int:
+        """Working dimension: n when base-only, else 2n."""
+        return self.n if self.base_only else 2 * self.n
+
 
 def _is_zero_expr(e: ex.Node) -> bool:
     return isinstance(e, ex.Const) and e.value == 0
@@ -164,7 +171,6 @@ class CriticalPoint:
     z: PhasePoint
     index: int
     residual: float
-    hessian_spectrum: tuple
 
     def coords(self) -> np.ndarray:
         return self.z.as_array()
@@ -196,7 +202,6 @@ class MorseComplex:
     generators: dict  # index -> list[CriticalPoint]
     boundary: dict  # m -> uint8 matrix C_m -> C_{m-1}, rows = C_{m-1}
     flow_line_counts: dict  # ((m, col), (m-1, row)) -> raw count
-    q: float
 
 
 # ---------------------------------------------------------------------------
@@ -217,62 +222,45 @@ def build_hamiltonian(spec: MorseSpec) -> ex.Node:
 
 
 # ---------------------------------------------------------------------------
-# Working system: unifies the full phase-space problem and the base-only
-# degeneration behind one gradient/Hessian/flow interface.
+# Working system: gradient, Hessian and flow of H_q on z[:spec.dim].
 
 
 class _System:
     def __init__(self, spec: MorseSpec, options: MorseOptions):
         self.spec = spec
         self.options = options
-        self.base_only = spec.base_only
         n = spec.n
+        self.dim = spec.dim
         self.wrap = spec.space == "torus"
-        if self.base_only:
-            self.dim = n
-            self.jet = ex.JetEvaluator(spec.f)
-            self.scales = np.ones(n)
-        else:
-            self.dim = 2 * n
-            self.jet = ex.JetEvaluator(build_hamiltonian(spec))
-            s = np.ones(2 * n)
-            s[n:] = 1.0 / spec.q
-            self.scales = s
+        # H_q is f itself in base-only mode
+        self.jet = ex.JetEvaluator(build_hamiltonian(spec))
+        self.scales = np.ones(self.dim)
+        self.scales[n:] = 1.0 / spec.q
         self.sqrt_scales = np.sqrt(self.scales)
         self._neg_scales = (-self.scales).tolist()
-        self._y_zeros = [0.0] * n
         self.box = options.box_for(self.dim)
-        # (axis, lo, hi) of every coordinate the box bounds; angular
-        # coordinates are compact
+        # (axis, lo, hi) of every coordinate the box bounds; the angles
+        # x1..xn of the torus are compact
         self.bounded_axes = [
             (axis, lo, hi)
             for axis, (lo, hi) in enumerate(self.box)
-            if not (self.wrap and (self.base_only or axis < n))
+            if not (self.wrap and axis < n)
         ]
 
     def coords(self, p: CriticalPoint) -> np.ndarray:
-        """The working coordinates of p: x alone in base-only mode."""
-        return np.array(p.z.x) if self.base_only else p.coords()
+        """The working coordinates of p."""
+        return p.coords()[: self.dim]
 
-    # base-only mode works on x alone; slice accordingly
     def gradient(self, u: np.ndarray) -> tuple:
-        if self.base_only:
-            z = np.concatenate([u, np.zeros(self.spec.n)])
-            return self.jet.gradient(z)[: self.spec.n]
-        return self.jet.gradient(u)
+        return self.jet.gradient(u)[: self.dim]
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
-        if self.base_only:
-            n = self.spec.n
-            z = np.concatenate([u, np.zeros(n)])
-            return self.jet.hessian(z)[:n, :n]
-        return self.jet.hessian(u)
+        return self.jet.hessian(u)[: self.dim, : self.dim]
 
     def rhs(self, u: list) -> list:
         """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats."""
-        z = u + self._y_zeros if self.base_only else u
-        # map stops at self.dim, which drops the y-gradient in base-only mode
-        return list(map(operator.mul, self._neg_scales, self.jet.gradient(z)))
+        # map stops at self.dim, past which a base-only gradient holds only zeros
+        return list(map(operator.mul, self._neg_scales, self.jet.gradient(u)))
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -283,11 +271,8 @@ class _System:
         if not self.wrap:
             return u
         out = np.array(u)
-        if self.base_only:
-            out[:] = np.mod(out, TWO_PI)
-        else:
-            n = self.spec.n
-            out[:n] = np.mod(out[:n], TWO_PI)
+        n = self.spec.n
+        out[:n] = np.mod(out[:n], TWO_PI)
         return out
 
     def distance(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -301,8 +286,8 @@ class _System:
         """
         d = np.subtract(v, u, dtype=float)
         if self.wrap:
-            upto = self.dim if self.base_only else self.spec.n
-            d[..., :upto] = (d[..., :upto] + math.pi) % TWO_PI - math.pi
+            n = self.spec.n
+            d[..., :n] = (d[..., :n] + math.pi) % TWO_PI - math.pi
         return d
 
     def in_box(self, u, margin: float = 0.5) -> bool:
@@ -313,9 +298,9 @@ class _System:
         return True
 
     def phase_point(self, u: np.ndarray) -> PhasePoint:
-        if self.base_only:
-            return PhasePoint(self.wrap_coords(u), np.zeros(self.spec.n), self.spec.space)
-        return PhasePoint.from_array(self.wrap_coords(u), self.spec.space)
+        z = np.zeros(2 * self.spec.n)  # y = 0 in base-only mode
+        z[: self.dim] = self.wrap_coords(u)
+        return PhasePoint.from_array(z, self.spec.space)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +310,7 @@ class _System:
 def _newton_seeds(system: _System) -> list[np.ndarray]:
     grids = []
     for axis, (lo, hi) in enumerate(system.box):
-        if system.wrap and (system.base_only or axis < system.spec.n):
+        if system.wrap and axis < system.spec.n:
             grids.append(np.linspace(0.0, TWO_PI, system.options.grid, endpoint=False))
         else:
             grids.append(np.linspace(lo, hi, system.options.grid))
@@ -333,26 +318,42 @@ def _newton_seeds(system: _System) -> list[np.ndarray]:
 
 
 def _newton(system: _System, seed: np.ndarray) -> Optional[np.ndarray]:
+    """The critical point Newton reaches from seed, or None if it diverges,
+    leaves the search span, or meets a point where H_q cannot be evaluated
+    (an overflow, a division by zero or a domain error)."""
     opts = system.options
     u = np.array(seed, dtype=float)
     span = max(hi - lo for lo, hi in system.box)
-    for _ in range(opts.max_newton):
-        g = system.gradient(u)
-        if not all(map(math.isfinite, g)):
-            return None
-        if max(map(abs, g)) <= opts.newton_tol:
-            return u
-        h = system.hessian(u)
-        try:
-            step, *_ = np.linalg.lstsq(h, g, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        # np.linalg.norm's own formula; a nan or inf norm fails the test
-        if not math.sqrt(step.dot(step)) <= 10 * span:
-            return None
-        u = u - step
-        u = system.wrap_coords(u)
+    try:
+        for _ in range(opts.max_newton):
+            g = system.gradient(u)
+            if not all(map(math.isfinite, g)):
+                return None
+            if max(map(abs, g)) <= opts.newton_tol:
+                return u
+            step, *_ = np.linalg.lstsq(system.hessian(u), g, rcond=None)
+            # np.linalg.norm's own formula; a nan or inf norm fails the test
+            if not math.sqrt(step.dot(step)) <= 10 * span:
+                return None
+            u = system.wrap_coords(u - step)
+    # np.linalg.LinAlgError is a ValueError
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
     return None
+
+
+def _index(system: _System, u: np.ndarray) -> int:
+    """Morse index at u: the negative eigenvalues of the G_q-symmetrized
+    Hessian.  Raises MorseConditionError when one lies within the
+    degeneracy tolerance of zero."""
+    spectrum = np.linalg.eigvalsh(system.symmetrized_hessian(u))
+    if np.min(np.abs(spectrum)) < system.options.degenerate_tol:
+        raise MorseConditionError(
+            f"degenerate critical point at {np.round(u, 6).tolist()}: "
+            f"Hessian eigenvalue {spectrum[np.argmin(np.abs(spectrum))]:.3e} "
+            "within tolerance of zero"
+        )
+    return int(np.sum(spectrum < 0))
 
 
 def find_critical_points(
@@ -377,26 +378,14 @@ def find_critical_points(
             continue
         found.append(u)
     found.sort(key=lambda u: tuple(np.round(u, 9)))
-    points = []
-    for u in found:
-        residual = float(np.linalg.norm(system.gradient(u)))
-        spectrum = np.linalg.eigvalsh(system.symmetrized_hessian(u))
-        if np.min(np.abs(spectrum)) < options.degenerate_tol:
-            raise MorseConditionError(
-                f"degenerate critical point at {np.round(u, 6).tolist()}: "
-                f"Hessian eigenvalue {spectrum[np.argmin(np.abs(spectrum))]:.3e} "
-                "within tolerance of zero"
-            )
-        index = int(np.sum(spectrum < 0))
-        points.append(
-            CriticalPoint(
-                z=system.phase_point(u),
-                index=index,
-                residual=residual,
-                hessian_spectrum=tuple(float(v) for v in spectrum),
-            )
+    return [
+        CriticalPoint(
+            z=system.phase_point(u),
+            index=_index(system, u),
+            residual=float(np.linalg.norm(system.gradient(u))),
         )
-    return points
+        for u in found
+    ]
 
 
 def _nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -405,6 +394,20 @@ def _nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     u, s, vt = np.linalg.svd(m)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
     return vt[rank:].T
+
+
+def _constraint_jets(spec: MorseSpec) -> list[tuple[int, ex.JetEvaluator]]:
+    """(i, jet of w_i) for every constraint component that is not identically 0."""
+    return [(i, ex.JetEvaluator(wi)) for i, wi in enumerate(spec.w) if not _is_zero_expr(wi)]
+
+
+def _constraint_jacobian(jets_w, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """dw at z (row i is grad_x w_i, a zero row for a zero w_i) and its rows
+    of the nonzero components."""
+    dw = np.zeros((n, n))
+    for i, jet in jets_w:
+        dw[i, :] = jet.gradient(z)[:n]
+    return dw, dw[[i for i, _ in jets_w], :]
 
 
 def critical_index(
@@ -416,42 +419,22 @@ def critical_index(
     certificate reports index_base(f|_{w^{-1}(0)}) + index_fibre(g) + k and
     whether it matches.
     """
-    options = options or MorseOptions()
-    system = _System(spec, options)
-    u = system.coords(p)
-    spectrum = np.linalg.eigvalsh(system.symmetrized_hessian(u))
-    if np.min(np.abs(spectrum)) < options.degenerate_tol:
-        raise MorseConditionError(
-            f"critical point at {np.round(u, 6).tolist()} fails nondegeneracy"
-        )
-    total = int(np.sum(spectrum < 0))
+    system = _System(spec, options or MorseOptions())
+    total = _index(system, system.coords(p))
 
     n = spec.n
-    if spec.base_only:
-        cert = IndexCertificate(total, total, 0, 0, separable=True)
-        return total, cert
-
-    x = np.array(p.z.x)
-    y = np.array(p.z.y)
-    z = np.concatenate([x, y])
+    z = p.coords()
+    y = z[n:]
     k = spec.constraint_rank
-
-    # Jacobian of the constraints: rows grad_x w_i (zero rows for zero w_i).
-    jets_w = [None if _is_zero_expr(wi) else ex.JetEvaluator(wi) for wi in spec.w]
-    dw = np.zeros((n, n))
-    for i, jet in enumerate(jets_w):
-        if jet is not None:
-            dw[i, :] = jet.gradient(z)[:n]
-    nonzero_rows = [i for i, jet in enumerate(jets_w) if jet is not None]
-    dw_active = dw[nonzero_rows, :] if nonzero_rows else np.zeros((0, n))
+    jets_w = _constraint_jets(spec)
+    dw, dw_active = _constraint_jacobian(jets_w, z, n)
     separable = int(np.linalg.matrix_rank(dw_active, tol=1e-8)) == k if k else True
 
     # Base index: Hessian of the Lagrangian f + y.w restricted to ker dw.
     a = ex.JetEvaluator(spec.f).hessian(z)[:n, :n]
-    for i, jet in enumerate(jets_w):
-        if jet is not None:
-            a = a + y[i] * jet.hessian(z)[:n, :n]
-    kernel = _nullspace(dw_active) if k else np.eye(n)
+    for i, jet in jets_w:
+        a = a + y[i] * jet.hessian(z)[:n, :n]
+    kernel = _nullspace(dw_active)  # the identity when k = 0
     if kernel.shape[1]:
         base_vals = np.linalg.eigvalsh(kernel.T @ a @ kernel)
         base_index = int(np.sum(base_vals < 0))
@@ -896,7 +879,7 @@ def build_complex(spec: MorseSpec, options: Optional[MorseOptions] = None) -> Mo
                     f"boundary fails d^2 = 0 between degrees {m} and {m - 2}; "
                     "flow-line counting is inconsistent"
                 )
-    return MorseComplex(generators=generators, boundary=boundary, flow_line_counts=counts, q=spec.q)
+    return MorseComplex(generators=generators, boundary=boundary, flow_line_counts=counts)
 
 
 def mod2_rank(matrix: np.ndarray) -> int:
@@ -949,22 +932,13 @@ class _DeviationMeter:
     def __init__(self, spec: MorseSpec):
         self.n = spec.n
         self.jet_f = ex.JetEvaluator(spec.f)
-        self.jets_w = [
-            None if _is_zero_expr(wi) else ex.JetEvaluator(wi) for wi in spec.w
-        ]
+        self.jets_w = _constraint_jets(spec)
 
     def __call__(self, z: np.ndarray) -> float:
         n = self.n
-        x, y = z[:n], z[n:]
-        w_vals = []
-        dw = np.zeros((n, n))
-        for i, jet in enumerate(self.jets_w):
-            if jet is None:
-                continue
-            w_vals.append(jet.value(z))
-            dw[i, :] = jet.gradient(z)[:n]
-        residual = np.array(self.jet_f.gradient(z)[:n]) + dw.T @ y
-        rows = dw[[i for i, jet in enumerate(self.jets_w) if jet is not None], :]
+        w_vals = [jet.value(z) for _, jet in self.jets_w]
+        dw, rows = _constraint_jacobian(self.jets_w, z, n)
+        residual = np.array(self.jet_f.gradient(z)[:n]) + dw.T @ z[n:]
         if rows.size:
             # projection of the residual onto the constraint-gradient span
             pinv = np.linalg.pinv(rows)

@@ -41,6 +41,19 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def assert_invalid_for_validate_and_run(tmp_path, base, change, message):
+    """The golden scenario ``base`` with ``change`` applied exits 2 from both
+    ``validate`` and ``run``, with ``message``, and writes no report."""
+    doc = json.loads((SCENARIOS / f"{base}.json").read_text())
+    doc.update(change)
+    with pytest.raises(ScenarioError, match=message):
+        validate_scenario(doc)
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert run_scenario(path, tmp_path) == EXIT_INVALID
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestValidation:
     def test_valid_document_passes(self):
         validate_scenario(classify_doc())
@@ -186,14 +199,7 @@ class TestRun:
         ids=["q", "adiabatic_q", "box", "adiabatic_base_only"],
     )
     def test_morse_spec_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
-        doc = json.loads((SCENARIOS / f"{base}.json").read_text())
-        doc.update(change)
-        with pytest.raises(ScenarioError, match=message):
-            validate_scenario(doc)
-        path = write_doc(tmp_path, doc)
-        assert main(["validate", str(path)]) == EXIT_INVALID
-        assert run_scenario(path, tmp_path) == EXIT_INVALID
-        assert not (tmp_path / "report.json").exists()
+        assert_invalid_for_validate_and_run(tmp_path, base, change, message)
 
     def test_morse_box_sized_to_the_working_space(self):
         # base-only (w = 0, g = 0) works in n coordinates, the multiplier system in 2n
@@ -203,6 +209,37 @@ class TestRun:
             validate_scenario(dict(torus, box=[[0, 6]] * 4))
         circle = json.loads((SCENARIOS / "morse_s1.json").read_text())
         validate_scenario(dict(circle, box=[[-2, 2]] * 4))
+
+    @pytest.mark.parametrize(
+        "base,change,message",
+        [
+            ("classify_conformal", {"hamiltonian": "sin(x1)"}, "/hamiltonian: transcendental"),
+            ("classify_conformal", {"hamiltonian": "x1/y1"}, "/hamiltonian: non-polynomial"),
+            ("oscillator_energy", {"checks": [{"name": "c", "measure": "bogus", "threshold": 1}]},
+             "/checks/0/measure"),
+            ("pendulum_symplectic",
+             {"checks": [{"name": "c", "measure": "bogus", "threshold": 1}]}, "/checks/0/measure"),
+        ],
+        ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure"],
+    )
+    def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
+        assert_invalid_for_validate_and_run(tmp_path, base, change, message)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"f": "exp(x1^2)", "box": [[-40, 40]]}, {"f": "x1^2 + sin(x1^4000)"}],
+        ids=["overflow", "domain_error"],
+    )
+    def test_morse_newton_seed_that_cannot_be_evaluated_is_skipped(self, tmp_path, capsys, data):
+        # Newton from the far seeds raises OverflowError (exp(1600)) or
+        # ValueError (sin(inf)); the minimum at 0 is still found
+        path = write_doc(tmp_path, {"kind": "morse", "n": 1, "w": ["0"], "g": "0", **data})
+        assert run_scenario(path, tmp_path) == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [r["name"] for r in report["checks"]] == ["critical_point_residual"]
+        morse_report = json.loads((tmp_path / "morse_report.json").read_text())
+        assert morse_report["homology_ranks"] == {"0": 1}
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_fibre_volume_power_needs_its_observable(self, tmp_path):
         doc = json.loads((SCENARIOS / "fibre_volume_sweep.json").read_text())

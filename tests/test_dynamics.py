@@ -23,7 +23,7 @@ from defham.dynamics import (
     integrate_variational,
     pullback_defect,
     rkf45_path,
-    trajectory_to_csv,
+    trajectory_csv,
 )
 from defham.morse import MorseOptions, _System, build_hamiltonian
 from defham.phase import PhasePoint
@@ -437,12 +437,10 @@ class TestRK4Kernel:
 
 
 class TestCsv:
-    def test_format(self, tmp_path):
+    def test_format(self):
         spec = FlowSpec(ex.parse(OSC, 1), 1, 1.0, step=1e-2, t_final=0.1, sample_stride=5)
         traj = integrate(spec, PhasePoint((1.0,), (2.0,)))
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().strip().splitlines()
+        lines = trajectory_csv(traj).strip().splitlines()
         assert lines[0] == "t,x1,y1,H"
         assert len(lines) == len(traj.ts) + 1
         first = lines[1].split(",")

@@ -13,6 +13,7 @@ import pytest
 
 from defham import expr as ex
 from defham.morse import (
+    IndexCertificate,
     MorseComplex,
     MorseConditionError,
     MorseOptions,
@@ -103,6 +104,7 @@ class TestSpecValidation:
         assert circle_spec().constraint_rank == 1
         assert torus_spec().constraint_rank == 0
         assert torus_spec().base_only
+        assert circle_spec().dim == 4 and torus_spec().dim == 2
 
 
 def test_build_hamiltonian_value():
@@ -150,6 +152,23 @@ class TestCriticalPoints:
             assert cert.k == 1
             assert cert.fibre_index == 0
             assert cert.consistent
+
+    @pytest.mark.parametrize(
+        "make,indices",
+        [
+            (torus_spec, [0, 1, 1, 2]),
+            (lambda: MorseSpec(1, ex.parse("x1^2/2", 1), [ex.parse("0", 1)], ex.parse("0", 1)), [0]),
+        ],
+        ids=["torus", "x1^2/2"],
+    )
+    def test_base_only_index_certificate(self, make, indices):
+        # [DERIVED] with k = 0 and g = 0 the index is the base index of f
+        spec = make()
+        points = find_critical_points(spec)
+        assert sorted(p.index for p in points) == indices
+        for p in points:
+            m = p.index
+            assert critical_index(spec, p) == (m, IndexCertificate(m, m, 0, 0, True))
 
     def test_negative_fibre_metric_shifts_index(self):
         # [DERIVED] flipping g to -y2^2/2 adds one to the fibre index.
@@ -260,9 +279,26 @@ class TestFloatKernels:
         points = [rng.uniform(-2.0, 2.0, system.dim).tolist() for _ in range(200)]
         points += [[0.0] * system.dim, [-0.0] * system.dim, [1.0, -0.0, 0.5, 0.0][: system.dim]]
         for u in points:
-            z = u + [0.0] * n if system.base_only else u
+            z = u + [0.0] * (2 * n - system.dim)  # y = 0 pads a base-only point
             g = np.array(system.jet.gradient(z))[: system.dim]
             assert _bits(system.rhs(u)) == _bits((-system.scales * g).tolist())
+
+    @pytest.mark.parametrize(
+        "n,f",
+        [(2, "cos(x1) + cos(x2)"), (3, "x1^4/4 - x1*x2 + exp(x3/3)*sin(x2) - 1/(2 + x3^2)")],
+    )
+    def test_base_only_jet_reads_only_the_working_space(self, rng, n, f):
+        # the single code path evaluates a base-only jet on z[:n] unpadded
+        zero = ex.parse("0", n)
+        system = _System(MorseSpec(n, ex.parse(f, n), [zero] * n, zero), MorseOptions())
+        assert system.dim == n
+        for _ in range(50):
+            u = rng.uniform(-2.0, 2.0, n)
+            padded = np.concatenate([u, np.zeros(n)])
+            for short, full in ((u, padded), (u.tolist(), padded.tolist())):
+                assert _bits(system.jet.gradient(short)) == _bits(system.jet.gradient(full))
+                assert system.jet.hessian(short).tobytes() == system.jet.hessian(full).tobytes()
+                assert _bits([system.jet.value(short)]) == _bits([system.jet.value(full)])
 
     @pytest.mark.parametrize("make,seeds", [(circle_spec, 2401), (torus_spec, 49)])
     def test_newton_matches_array_form_from_every_seed(self, make, seeds):
@@ -288,6 +324,16 @@ class TestFloatKernels:
                 assert not math.isfinite(g[0])
                 assert _newton(system, np.array([10.0])) is None
 
+    @pytest.mark.parametrize("text,seed", [("exp(x1^2)", 40.0), ("x1^2 + sin(x1^4000)", 2.0)])
+    def test_newton_gives_up_where_the_gradient_cannot_be_evaluated(self, text, seed):
+        # exp(1600) raises OverflowError; x1^4000 overflows to inf, and sin(inf)
+        # raises ValueError (math domain error)
+        spec = MorseSpec(1, ex.parse(text, 1), [ex.parse("0", 1)], ex.parse("0", 1))
+        system = _System(spec, MorseOptions())
+        with np.errstate(over="ignore"):
+            assert _newton(system, np.array([seed])) is None
+            assert abs(_newton(system, np.array([0.5]))[0]) < 1e-12  # the minimum
+
     def test_newton_rejects_over_long_step(self):
         # for x1^3 the Newton step from x is x/2: 50 from 100, past 10 * span = 40
         spec = MorseSpec(1, ex.parse("x1^3", 1), [ex.parse("0", 1)], ex.parse("0", 1))
@@ -312,7 +358,6 @@ class TestHomologyHelpers:
             generators={0: [dummy, dummy], 1: [dummy, dummy]},
             boundary={1: np.array([[1, 1], [1, 1]], dtype=np.uint8)},
             flow_line_counts={},
-            q=1.0,
         )
         assert homology_ranks(complex_) == {0: 1, 1: 1}
 
