@@ -35,22 +35,27 @@ def deformed_bracket(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
     return float(xh[n:] @ xf[:n] - xh[:n] @ xf[n:])
 
 
+def _partials(e: ex.Node, n: int) -> dict:
+    """dE/dx_i and dE/dy_i for i = 1..n, keyed ("x", i) and ("y", i)."""
+    return {(kind, i): ex.differentiate(e, (kind, i)) for kind in "xy" for i in range(1, n + 1)}
+
+
+def _bracket(dh: dict, df: dict, q, n: int) -> ex.Node:
+    """{H,F}_q from the partials of H and F."""
+    qinv = ex.const(1 / Fraction(q), n)
+    out: ex.Node = ex.const(0, n)
+    for i in range(1, n + 1):
+        hy_fx = ex.mul(dh["y", i], df["x", i])
+        out = ex.add(out, ex.sub(ex.mul(qinv, hy_fx), ex.mul(dh["x", i], df["y", i])))
+    return out
+
+
 def bracket_expression(h: ex.Node, f: ex.Node, q) -> ex.Node:
     """{H,F}_q as a symbolic expression:
     sum_i (1/q) H_{y_i} F_{x_i} - H_{x_i} F_{y_i}."""
-    q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    n = h.n
-    qinv = ex.const(Fraction(1) / q, n)
-    out: ex.Node = ex.const(0, n)
-    for i in range(1, n + 1):
-        hy = ex.differentiate(h, ("y", i))
-        hx = ex.differentiate(h, ("x", i))
-        fy = ex.differentiate(f, ("y", i))
-        fx = ex.differentiate(f, ("x", i))
-        out = ex.add(out, ex.sub(ex.mul(qinv, ex.mul(hy, fx)), ex.mul(hx, fy)))
-    return out
+    return _bracket(_partials(h, h.n), _partials(f, h.n), q, h.n)
 
 
 def antisymmetrized_bracket_expression(h: ex.Node, f: ex.Node, q) -> ex.Node:
@@ -70,6 +75,23 @@ def admissibility_defect(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> flo
     return abs(lhs - rhs) / max(1.0, scale)
 
 
+def _jacobi_cyclic(h: ex.Node, f: ex.Node, g: ex.Node, q) -> ex.Node:
+    """[[H,F],G] + [[F,G],H] + [[G,H],F] for the antisymmetrized bracket; the
+    partials of each of the six operands (H, F, G and the three inner
+    brackets) are taken once and shared by both orders of every bracket."""
+    n = h.n
+    dh, df, dg = _partials(h, n), _partials(f, n), _partials(g, n)
+
+    def brk(da: dict, db: dict) -> ex.Node:
+        return ex.sub(_bracket(da, db, q, n), _bracket(db, da, q, n))
+
+    hf, fg, gh = brk(dh, df), brk(df, dg), brk(dg, dh)
+    return ex.add(
+        ex.add(brk(_partials(hf, n), dg), brk(_partials(fg, n), dh)),
+        brk(_partials(gh, n), df),
+    )
+
+
 def jacobi_defect(h: ex.Node, f: ex.Node, g: ex.Node, q: float, z: PhasePoint) -> float:
     """Jacobi cyclic sum of the antisymmetrized bracket, evaluated at z.
 
@@ -78,12 +100,4 @@ def jacobi_defect(h: ex.Node, f: ex.Node, g: ex.Node, q: float, z: PhasePoint) -
     """
     if q in (0, -1):
         raise ValueError("q must avoid 0 and -1")
-
-    def brk(a: ex.Node, b: ex.Node) -> ex.Node:
-        return antisymmetrized_bracket_expression(a, b, q)
-
-    cyclic = ex.add(
-        ex.add(brk(brk(h, f), g), brk(brk(f, g), h)),
-        brk(brk(g, h), f),
-    )
-    return abs(ex.evaluate(cyclic, z))
+    return abs(ex.evaluate(_jacobi_cyclic(h, f, g, q), z))

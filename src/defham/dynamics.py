@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# raised on Python floats where float64 gives inf or nan (ValueError: math of inf)
+_NON_FINITE = (OverflowError, ZeroDivisionError, ValueError)
+
+
 class IntegrationError(RuntimeError):
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g}")
@@ -168,8 +172,8 @@ def rk4_path(rhs, z0, t_final, step, stride, observe):
     rounds exactly as the array form on float64 does: stage arguments
     ``z + (0.5*h)*k`` and ``z + h*k``, and the update
     ``z + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``.  A stage that raises
-    OverflowError or ZeroDivisionError (where float64 gives inf or nan), or
-    a non-finite step, raises IntegrationError.
+    OverflowError, ZeroDivisionError or ValueError (where float64 gives inf
+    or nan), or a non-finite step, raises IntegrationError.
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
@@ -183,7 +187,7 @@ def rk4_path(rhs, z0, t_final, step, stride, observe):
             k2 = rhs([a + half * b for a, b in zip(z, k1)])
             k3 = rhs([a + half * b for a, b in zip(z, k2)])
             k4 = rhs([a + h * b for a, b in zip(z, k3)])
-        except (OverflowError, ZeroDivisionError) as err:
+        except _NON_FINITE as err:
             raise IntegrationError("solution blew up", k * h) from err
         z = [
             a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
@@ -249,8 +253,8 @@ def _fehlberg_trial(d: int) -> Callable:
     so on Python floats it rounds exactly as float64 arrays do: stage sums
     run left to right from ``0.0 + c0*k0`` (zero coefficients included) and
     the mean squares are summed in numpy's order.  A stage whose rhs raises
-    OverflowError or ZeroDivisionError is set to nan, as inf or nan would
-    spread through the array form.
+    OverflowError, ZeroDivisionError or ValueError is set to nan, as inf or
+    nan would spread through the array form.
     """
     comps = range(d)
 
@@ -265,7 +269,7 @@ def _fehlberg_trial(d: int) -> Callable:
         return [
             "    try:",
             f"        {ks}, = rhs({arg})",
-            "    except (OverflowError, ZeroDivisionError):",
+            "    except non_finite:",
             f"        {ks.replace(', ', ' = ')} = nan",
         ]
 
@@ -286,7 +290,7 @@ def _fehlberg_trial(d: int) -> Callable:
         f"    return [{', '.join(f'y_{i}' for i in comps)}], "
         f"[{', '.join(f'w_{i}' for i in comps)}], err"
     )
-    namespace = {"nan": math.nan, "sqrt": math.sqrt}
+    namespace = {"nan": math.nan, "sqrt": math.sqrt, "non_finite": _NON_FINITE}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["trial"]
 
@@ -300,9 +304,9 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe, h0=None):
     the same scheme on float64 arrays bit for bit (see _fehlberg_trial).
 
     Where float64 arithmetic gives inf or nan, Python floats may raise
-    OverflowError or ZeroDivisionError.  Such a stage counts as non-finite:
-    the step is quartered and retried, so a blow-up still ends in
-    IntegrationError once the step underflows.
+    OverflowError, ZeroDivisionError or ValueError.  Such a stage counts as
+    non-finite: the step is quartered and retried, so a blow-up still ends
+    in IntegrationError once the step underflows.
     """
     z = [float(v) for v in z0]
     trial = _fehlberg_trial(len(z))
@@ -338,12 +342,16 @@ def _make_observer(spec: FlowSpec, energy: Callable):
     torus = spec.space == "torus"
 
     def observe(t, z):
-        # energies on float64, where an overflow gives inf instead of raising;
-        # the energy is taken on the unwrapped state, so only the wrap copies
+        # energies on float64, where an overflow gives inf instead of raising,
+        # but a math function of inf or nan still raises; the energy is taken
+        # on the unwrapped state, so only the wrap copies
         z = np.asarray(z, dtype=float)
+        try:
+            es.append(energy(z))
+        except _NON_FINITE as err:
+            raise IntegrationError("solution blew up", t) from err
         ts.append(t)
         zs.append(np.concatenate((wrap_angles(z[:n]), z[n:])) if torus else z)
-        es.append(energy(z))
 
     return ts, zs, es, observe
 

@@ -29,14 +29,12 @@ __all__ = [
     "Pow",
     "Neg",
     "Call",
-    "Jet",
     "ExprError",
     "ParseError",
     "EvalError",
     "parse",
     "differentiate",
     "evaluate",
-    "evaluate_jet",
     "to_text",
     "const",
     "var",
@@ -429,56 +427,59 @@ def to_text(e: Node) -> str:
 # Differentiation (exact, symbolic).
 
 
-def _as_variable(v) -> tuple[str, int]:
-    if isinstance(v, Var):
-        return v.kind, v.index
-    kind, index = v
-    return kind, int(index)
-
-
 def differentiate(e: Node, v) -> Node:
     """Exact partial derivative of ``e`` with respect to variable ``v``.
 
     ``v`` is a ``Var`` or a ``(kind, index)`` pair such as ``("y", 1)``.
+    Each distinct node of ``e`` is differentiated once, so a subtree shared
+    by several parents has one shared derivative.
     """
-    kind, index = _as_variable(v)
+    kind, index = (v.kind, v.index) if isinstance(v, Var) else v
+    index = int(index)
     if kind not in ("x", "y") or not 1 <= index <= e.n:
         raise ExprError(f"variable {kind}{index} not declared for n={e.n}")
-    return _diff(e, kind, index)
+    return _diff(e, kind, index, {})
 
 
-def _diff(e: Node, kind: str, index: int) -> Node:
+def _diff(e: Node, kind: str, index: int, memo: dict) -> Node:
+    # memo: id(node) -> derivative, for the nodes of the expression being
+    # differentiated; they stay alive for the call, so no id is reused
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     n = e.n
     if isinstance(e, Const):
-        return Const(n, Fraction(0))
-    if isinstance(e, Var):
-        hit = e.kind == kind and e.index == index
-        return Const(n, Fraction(1 if hit else 0))
-    if isinstance(e, Add):
-        return add(_diff(e.a, kind, index), _diff(e.b, kind, index))
-    if isinstance(e, Sub):
-        return sub(_diff(e.a, kind, index), _diff(e.b, kind, index))
-    if isinstance(e, Mul):
-        da, db = _diff(e.a, kind, index), _diff(e.b, kind, index)
-        return add(mul(da, e.b), mul(e.a, db))
-    if isinstance(e, Div):
-        da, db = _diff(e.a, kind, index), _diff(e.b, kind, index)
-        return div(sub(mul(da, e.b), mul(e.a, db)), powi(e.b, 2))
-    if isinstance(e, Pow):
-        dbase = _diff(e.base, kind, index)
-        return mul(mul(const(e.exponent, n), powi(e.base, e.exponent - 1)), dbase)
-    if isinstance(e, Neg):
-        return neg(_diff(e.a, kind, index))
-    if isinstance(e, Call):
-        darg = _diff(e.arg, kind, index)
+        out = Const(n, Fraction(0))
+    elif isinstance(e, Var):
+        out = Const(n, Fraction(1 if e.kind == kind and e.index == index else 0))
+    elif isinstance(e, Add):
+        out = add(_diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo))
+    elif isinstance(e, Sub):
+        out = sub(_diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo))
+    elif isinstance(e, Mul):
+        da, db = _diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo)
+        out = add(mul(da, e.b), mul(e.a, db))
+    elif isinstance(e, Div):
+        da, db = _diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo)
+        out = div(sub(mul(da, e.b), mul(e.a, db)), powi(e.b, 2))
+    elif isinstance(e, Pow):
+        dbase = _diff(e.base, kind, index, memo)
+        out = mul(mul(const(e.exponent, n), powi(e.base, e.exponent - 1)), dbase)
+    elif isinstance(e, Neg):
+        out = neg(_diff(e.a, kind, index, memo))
+    elif isinstance(e, Call):
+        darg = _diff(e.arg, kind, index, memo)
         if e.func == "sin":
             outer: Node = call("cos", e.arg)
         elif e.func == "cos":
             outer = neg(call("sin", e.arg))
         else:  # exp
-            outer = call("exp", e.arg)
-        return mul(outer, darg)
-    raise TypeError(f"not an expression node: {e!r}")
+            outer = e
+        out = mul(outer, darg)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 def used_variables(e: Node) -> set[tuple[str, int]]:
@@ -503,86 +504,56 @@ def used_variables(e: Node) -> set[tuple[str, int]]:
 # Evaluation.
 
 
-def _coords(point, n: int) -> Sequence[float]:
-    # Accepts a PhasePoint-like object (with .x and .y) or a flat sequence
-    # of length 2n ordered (x1..xn, y1..yn).
+def evaluate(e: Node, point) -> float:
+    """Evaluate ``e`` at a phase point; raises EvalError on division by zero.
+
+    ``point`` is a PhasePoint-like object (with .x and .y) or a flat
+    sequence of length 2n ordered (x1..xn, y1..yn).  Each distinct node is
+    evaluated once, so a subtree shared by several parents costs one
+    evaluation.
+    """
     if hasattr(point, "x") and hasattr(point, "y"):
         z = list(point.x) + list(point.y)
     else:
         z = list(point)
-    if len(z) != 2 * n:
-        raise ExprError(f"point of length {len(z)} does not match dimension n={n}")
-    return z
+    if len(z) != 2 * e.n:
+        raise ExprError(f"point of length {len(z)} does not match dimension n={e.n}")
+    return _eval(e, z, {})
 
 
-def evaluate(e: Node, point) -> float:
-    """Evaluate ``e`` at a phase point; raises EvalError on division by zero."""
-    z = _coords(point, e.n)
-    return _eval(e, z)
-
-
-def _eval(e: Node, z: Sequence[float]) -> float:
+def _eval(e: Node, z: Sequence[float], memo: dict) -> float:
+    # memo: id(node) -> value, as in _diff
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        offset = 0 if e.kind == "x" else e.n
-        return float(z[offset + e.index - 1])
-    if isinstance(e, Add):
-        return _eval(e.a, z) + _eval(e.b, z)
-    if isinstance(e, Sub):
-        return _eval(e.a, z) - _eval(e.b, z)
-    if isinstance(e, Mul):
-        return _eval(e.a, z) * _eval(e.b, z)
-    if isinstance(e, Div):
-        denom = _eval(e.b, z)
+        out = float(e.value)
+    elif isinstance(e, Var):
+        out = float(z[(0 if e.kind == "x" else e.n) + e.index - 1])
+    elif isinstance(e, Add):
+        out = _eval(e.a, z, memo) + _eval(e.b, z, memo)
+    elif isinstance(e, Sub):
+        out = _eval(e.a, z, memo) - _eval(e.b, z, memo)
+    elif isinstance(e, Mul):
+        out = _eval(e.a, z, memo) * _eval(e.b, z, memo)
+    elif isinstance(e, Div):
+        denom = _eval(e.b, z, memo)
         if denom == 0.0:
             raise EvalError(f"division by zero in '{to_text(e)}'")
-        return _eval(e.a, z) / denom
-    if isinstance(e, Pow):
-        base = _eval(e.base, z)
+        out = _eval(e.a, z, memo) / denom
+    elif isinstance(e, Pow):
+        base = _eval(e.base, z, memo)
         if base == 0.0 and e.exponent < 0:
             raise EvalError(f"zero raised to negative power in '{to_text(e)}'")
-        return base ** e.exponent
-    if isinstance(e, Neg):
-        return -_eval(e.a, z)
-    if isinstance(e, Call):
-        value = _eval(e.arg, z)
-        return getattr(math, e.func)(value)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Value, gradient and Hessian of an expression at a phase point.
-
-    The gradient is ordered (d/dx1..d/dxn, d/dy1..d/dyn); the Hessian is
-    mirrored from its upper triangle so it is exactly symmetric.
-    """
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def _variable_list(n: int) -> list[tuple[str, int]]:
-    return [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
-
-
-def evaluate_jet(e: Node, point) -> Jet:
-    """Value, gradient and exact-symbolic Hessian of ``e`` at ``point``."""
-    z = _coords(point, e.n)
-    variables = _variable_list(e.n)
-    grads = [differentiate(e, v) for v in variables]
-    m = len(variables)
-    value = _eval(e, z)
-    gradient = np.array([_eval(g, z) for g in grads])
-    hessian = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            hij = _eval(differentiate(grads[i], variables[j]), z)
-            hessian[i, j] = hij
-            hessian[j, i] = hij
-    return Jet(value, gradient, hessian)
+        out = base ** e.exponent
+    elif isinstance(e, Neg):
+        out = -_eval(e.a, z, memo)
+    elif isinstance(e, Call):
+        out = getattr(math, e.func)(_eval(e.arg, z, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +610,8 @@ class _CompiledJet:
     compiled on first use."""
 
     def __init__(self, e: Node):
-        self.variables = _variable_list(e.n)
+        n = e.n
+        self.variables = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
         self.grads = [differentiate(e, v) for v in self.variables]
         self.value = compile_scalar(e)
         self.gradient = compile_vector(self.grads)

@@ -1,5 +1,7 @@
-"""Shared fixtures and random-object builders for the defham test suite."""
+"""Shared fixtures, random-object builders and oracles for the defham test suite."""
 
+import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,52 @@ def random_poly(rng, n, degree=3, terms=6):
 
 def random_point(rng, n, scale=1.0):
     return np.asarray(rng.uniform(-scale, scale, 2 * n))
+
+
+Jet = namedtuple("Jet", "value gradient hessian")
+
+
+def evaluate_jet(e, point):
+    """Value, gradient and Hessian of ``e`` at ``point`` from its exact
+    symbolic derivatives, evaluated one by one: the oracle for compiled jets.
+
+    The gradient is ordered (d/dx1..d/dxn, d/dy1..d/dyn); the Hessian is
+    mirrored from its upper triangle, so it is exactly symmetric.
+    """
+    n = e.n
+    variables = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+    grads = [ex.differentiate(e, v) for v in variables]
+    m = len(variables)
+    hessian = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            hij = ex.evaluate(ex.differentiate(grads[i], variables[j]), point)
+            hessian[i, j] = hessian[j, i] = hij
+    gradient = np.array([ex.evaluate(g, point) for g in grads])
+    return Jet(ex.evaluate(e, point), gradient, hessian)
+
+
+def tree_evaluate(e, z):
+    """Plain recursive walk of ``e`` at the flat point ``z`` (x1..xn, y1..yn):
+    a subtree reached along k paths is evaluated k times."""
+    if isinstance(e, ex.Const):
+        return float(e.value)
+    if isinstance(e, ex.Var):
+        return float(z[(0 if e.kind == "x" else e.n) + e.index - 1])
+    if isinstance(e, ex.Neg):
+        return -tree_evaluate(e.a, z)
+    if isinstance(e, ex.Pow):
+        return tree_evaluate(e.base, z) ** e.exponent
+    if isinstance(e, ex.Call):
+        return getattr(math, e.func)(tree_evaluate(e.arg, z))
+    a, b = tree_evaluate(e.a, z), tree_evaluate(e.b, z)
+    if isinstance(e, ex.Add):
+        return a + b
+    if isinstance(e, ex.Sub):
+        return a - b
+    if isinstance(e, ex.Mul):
+        return a * b
+    return a / b
 
 
 @pytest.fixture

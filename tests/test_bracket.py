@@ -1,15 +1,19 @@
 """Deformed bracket, Lie-admissibility and Jacobi identity.
 
 Oracles: the coordinate formula sum_i H_{y_i} F_{x_i} - H_{x_i} F_{y_i}
-evaluated from jets (independent of the bracket implementation), plus hand
-cases on coordinate functions.
+evaluated from jets (independent of the bracket implementation), hand cases
+on coordinate functions, and the Jacobi sum built with every bracket
+differentiating its own operands, evaluated by a plain tree walk.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from defham import expr as ex
 from defham.bracket import (
+    _jacobi_cyclic,
     admissibility_defect,
     antisymmetrized_bracket_expression,
     bracket_expression,
@@ -18,15 +22,40 @@ from defham.bracket import (
 )
 from defham.phase import PhasePoint
 
-from conftest import random_polynomial_expr, random_point
+from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
 
 
 def poisson_oracle(h, f, z):
     """{H,F}_1 from raw gradients, bypassing the bracket module."""
     n = h.n
-    gh = ex.evaluate_jet(h, z).gradient
-    gf = ex.evaluate_jet(f, z).gradient
+    gh = evaluate_jet(h, z).gradient
+    gf = evaluate_jet(f, z).gradient
     return float(gh[n:] @ gf[:n] - gh[:n] @ gf[n:])
+
+
+def unshared_bracket_expression(h, f, q):
+    """{H,F}_q as built before partials were shared: every call
+    differentiates both of its operands."""
+    n = h.n
+    qinv = ex.const(Fraction(1) / Fraction(q), n)
+    out = ex.const(0, n)
+    for i in range(1, n + 1):
+        hy = ex.differentiate(h, ("y", i))
+        hx = ex.differentiate(h, ("x", i))
+        fy = ex.differentiate(f, ("y", i))
+        fx = ex.differentiate(f, ("x", i))
+        out = ex.add(out, ex.sub(ex.mul(qinv, ex.mul(hy, fx)), ex.mul(hx, fy)))
+    return out
+
+
+def unshared_jacobi_cyclic(h, f, g, q):
+    """The Jacobi cyclic sum with both orders of every antisymmetrized
+    bracket differentiated separately."""
+
+    def brk(a, b):
+        return ex.sub(unshared_bracket_expression(a, b, q), unshared_bracket_expression(b, a, q))
+
+    return ex.add(ex.add(brk(brk(h, f), g), brk(brk(f, g), h)), brk(brk(g, h), f))
 
 
 class TestBracketValues:
@@ -123,3 +152,43 @@ class TestJacobi:
             z = PhasePoint.from_array(random_point(rng, 2))
             for q in (0.5, 2.0):
                 assert jacobi_defect(h, f, g, q, z) < 1e-8
+
+
+class TestSharedPartials:
+    # the q_list of the golden bracket scenario
+    Q_LIST = (0.3333333333333333, 0.5, 2.0, 3.0)
+
+    def assert_matches_unshared(self, h, f, g, z):
+        # same tree text and the same bits as the unshared construction
+        # evaluated by a plain tree walk
+        for q in self.Q_LIST:
+            want = unshared_jacobi_cyclic(h, f, g, q)
+            assert ex.to_text(_jacobi_cyclic(h, f, g, q)) == ex.to_text(want)
+            got = jacobi_defect(h, f, g, q, PhasePoint.from_array(z))
+            assert got == abs(tree_evaluate(want, z))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_triples_match_the_unshared_construction(self, rng, n):
+        for _ in range(4):
+            h, f, g = (random_polynomial_expr(rng, n) for _ in range(3))
+            self.assert_matches_unshared(h, f, g, random_point(rng, n))
+
+    def test_transcendental_and_quotient_inputs_match(self):
+        h = ex.parse("sin(x1)*y2 + exp(x2*y1)", 2)
+        f = ex.parse("cos(y1 - x2)/(2 + x1^2)", 2)
+        g = ex.parse("x1*y1 - exp(y2)*sin(x2)", 2)
+        self.assert_matches_unshared(h, f, g, np.array([0.3, -0.7, 0.5, 0.2]))
+
+    def test_each_operand_is_differentiated_once(self, monkeypatch):
+        # 2n partials of h, f, g and of the three inner brackets
+        calls = []
+        original = ex.differentiate
+
+        def counted(e, v):
+            calls.append(v)
+            return original(e, v)
+
+        monkeypatch.setattr(ex, "differentiate", counted)
+        h, f, g = (ex.parse(text, 2) for text in ("x1*y2^2", "y1*x2 + x1^2", "y1*y2*x1"))
+        jacobi_defect(h, f, g, 0.5, PhasePoint((0.1, 0.2), (0.3, 0.4)))
+        assert len(calls) == 6 * 4

@@ -320,6 +320,13 @@ class TestPipelineFailures:
                  "w": ["0", "0"], "g": "0"},
                 "MorseConditionError: degenerate critical point",
             ),
+            (
+                # x1*x1*x1 overflows to inf, where sin is a math domain error
+                {"kind": "simulate", "name": "domain error", "q": 1.0,
+                 "integrator": {"type": "rk4", "step": 0.001},
+                 **BLOW_UP, "hamiltonian": "y1*x1*x1 + sin(x1*x1*x1)"},
+                "IntegrationError: solution blew up at t=1.002",
+            ),
         ],
     )
     def test_failure_is_reported_and_exits_one(self, tmp_path, capsys, doc, message):

@@ -28,7 +28,7 @@ from defham.dynamics import (
 from defham.morse import MorseOptions, _System, build_hamiltonian
 from defham.phase import PhasePoint
 
-from conftest import random_polynomial_expr, random_point
+from conftest import evaluate_jet, random_polynomial_expr, random_point
 from test_morse import circle_spec
 
 OSC = "(x1^2 + y1^2)/2"
@@ -47,7 +47,7 @@ class TestField:
         # [DERIVED] at q = 1 the field is the standard (H_y, -H_x).
         h = random_polynomial_expr(rng, 2)
         z = PhasePoint.from_array(random_point(rng, 2))
-        jet = ex.evaluate_jet(h, z.as_array())
+        jet = evaluate_jet(h, z.as_array())
         v = deformed_field(h, 1.0, z)
         assert v.as_array() == pytest.approx(
             np.concatenate([jet.gradient[2:], -jet.gradient[:2]]), abs=1e-13
@@ -326,6 +326,8 @@ class TestRKF45Kernel:
         [
             ("x1^2*y1^2", [1e200, 1e200], OverflowError),
             ("y1/x1", [0.0, 1.0], ZeroDivisionError),
+            # x1*x1*x1 overflows to inf and sin(inf) is a math domain error
+            ("y1*sin(x1*x1*x1)", [1e200, 1.0], ValueError),
         ],
     )
     def test_raising_stage_ends_in_underflow(self, text, z0, error):
@@ -338,7 +340,7 @@ class TestRKF45Kernel:
         def rhs(z):
             try:
                 return field.field_list(z)
-            except ArithmeticError as exc:
+            except (ArithmeticError, ValueError) as exc:
                 raised.append(type(exc))
                 raise
 
@@ -414,6 +416,15 @@ class TestRK4Kernel:
             integrate(spec, PhasePoint((1.0,), (0.0,)))
         assert got.value.t == ref.value.t == 1003 * 1e-3
         assert str(got.value) == "solution blew up at t=1.003"
+
+    def test_stage_domain_error_is_a_blow_up(self):
+        # [DERIVED] H = y1 x1^2 + sin(x1^3): the gradient takes cos(x1^3),
+        # a math domain error once x1^3 overflows to inf
+        h = ex.parse("y1*x1*x1 + sin(x1*x1*x1)", 1)
+        field = HamiltonianField(h, 1.0)
+        with pytest.raises(IntegrationError, match="solution blew up") as err:
+            dynamics.rk4_path(field.field_list, [1e103, 0.0], 1.0, 0.1, 1, lambda t, z: None)
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_regime_sweep_integrates_each_q_once(self, monkeypatch):
         calls = []

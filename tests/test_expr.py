@@ -17,14 +17,14 @@ import pytest
 from defham import expr as ex
 from defham.cli import _run_bracket
 
-from conftest import random_polynomial_expr, random_point
+from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
 
 
 class TestParsing:
     def test_value_and_gradient_of_quadratic(self):
         # [DERIVED] H = (x1^2 + y1^2)/2 at (1, 2): value 2.5, gradient (1, 2).
         e = ex.parse("(x1^2 + y1^2)/2", 1)
-        jet = ex.evaluate_jet(e, (1.0, 2.0))
+        jet = evaluate_jet(e, (1.0, 2.0))
         assert jet.value == pytest.approx(2.5, abs=1e-15)
         assert jet.gradient == pytest.approx([1.0, 2.0], abs=1e-15)
 
@@ -97,7 +97,7 @@ class TestDifferentiation:
         for _ in range(100):
             e = random_polynomial_expr(rng, n)
             z = random_point(rng, n)
-            jet = ex.evaluate_jet(e, z)
+            jet = evaluate_jet(e, z)
             for j in range(2 * n):
                 zp, zm = z.copy(), z.copy()
                 zp[j] += step
@@ -109,13 +109,49 @@ class TestDifferentiation:
         # [TRIVIAL] the jet Hessian is exactly symmetric by construction.
         for _ in range(20):
             e = random_polynomial_expr(rng, 2)
-            jet = ex.evaluate_jet(e, random_point(rng, 2))
+            jet = evaluate_jet(e, random_point(rng, 2))
             assert np.array_equal(jet.hessian, jet.hessian.T)
 
     def test_derivative_of_constant_is_zero(self):
         e = ex.const(Fraction(3, 2), 2)
         d = ex.differentiate(e, ("x", 1))
         assert ex.evaluate(d, (0.0, 0.0, 0.0, 0.0)) == 0.0
+
+
+class TestSharedSubtrees:
+    DEPTH = 14
+
+    @staticmethod
+    def distinct_nodes(e):
+        seen, stack = set(), [e]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(v for v in vars(node).values() if isinstance(v, ex.Node))
+        return len(seen)
+
+    def test_derivative_of_a_dag_visits_each_node_once(self):
+        # e = u^(2^14) as a DAG of 14 squarings; spelled as a tree it has
+        # 2^14 copies of u, and so has its derivative
+        u = ex.parse("1 + sin(x1)*exp(y1)/65536", 1)
+        e = u
+        for depth in range(1, self.DEPTH + 1):
+            e = ex.mul(e, e)
+            if depth <= 4:  # the same tree as the derivative of the spelled-out tree
+                tree = ex.parse(ex.to_text(e), 1)
+                want = ex.to_text(ex.differentiate(tree, ("x", 1)))
+                assert ex.to_text(ex.differentiate(e, ("x", 1))) == want
+        d = ex.differentiate(e, ("x", 1))
+        assert self.distinct_nodes(d) <= 10 * self.DEPTH
+        # the float operations of the product rule d(a*a) = da*a + a*da, level by level
+        z = (0.3, 0.7)
+        value, slope = tree_evaluate(u, z), tree_evaluate(ex.differentiate(u, ("x", 1)), z)
+        for _ in range(self.DEPTH):
+            value, slope = value * value, slope * value + value * slope
+        assert ex.evaluate(d, z) == slope
+        # nothing is kept between calls
+        assert ex.differentiate(e, ("x", 1)) is not d
 
 
 class TestCompiled:
@@ -130,7 +166,7 @@ class TestCompiled:
         e = random_polynomial_expr(rng, 2)
         je = ex.JetEvaluator(e)
         z = random_point(rng, 2)
-        jet = ex.evaluate_jet(e, z)
+        jet = evaluate_jet(e, z)
         assert je.value(z) == pytest.approx(jet.value, rel=1e-13, abs=1e-13)
         assert je.gradient(z) == pytest.approx(jet.gradient, rel=1e-12, abs=1e-12)
         assert je.hessian(z) == pytest.approx(jet.hessian, rel=1e-12, abs=1e-12)
