@@ -58,8 +58,15 @@ def bracket_expression(h: ex.Node, f: ex.Node, q) -> ex.Node:
     return _bracket(_partials(h, h.n), _partials(f, h.n), q, h.n)
 
 
+def _antisymmetrized(da: dict, db: dict, q, n: int) -> ex.Node:
+    """{A,B}_q - {B,A}_q from the partials of A and B."""
+    return ex.sub(_bracket(da, db, q, n), _bracket(db, da, q, n))
+
+
 def antisymmetrized_bracket_expression(h: ex.Node, f: ex.Node, q) -> ex.Node:
-    return ex.sub(bracket_expression(h, f, q), bracket_expression(f, h, q))
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    return _antisymmetrized(_partials(h, h.n), _partials(f, h.n), q, h.n)
 
 
 def admissibility_defect(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
@@ -81,15 +88,10 @@ def _jacobi_cyclic(h: ex.Node, f: ex.Node, g: ex.Node, q) -> ex.Node:
     brackets) are taken once and shared by both orders of every bracket."""
     n = h.n
     dh, df, dg = _partials(h, n), _partials(f, n), _partials(g, n)
-
-    def brk(da: dict, db: dict) -> ex.Node:
-        return ex.sub(_bracket(da, db, q, n), _bracket(db, da, q, n))
-
-    hf, fg, gh = brk(dh, df), brk(df, dg), brk(dg, dh)
-    return ex.add(
-        ex.add(brk(_partials(hf, n), dg), brk(_partials(fg, n), dh)),
-        brk(_partials(gh, n), df),
-    )
+    hf, fg, gh = (_antisymmetrized(da, db, q, n) for da, db in ((dh, df), (df, dg), (dg, dh)))
+    outer = ((hf, dg), (fg, dh), (gh, df))
+    a, b, c = (_antisymmetrized(_partials(e, n), d, q, n) for e, d in outer)
+    return ex.add(ex.add(a, b), c)
 
 
 def jacobi_defect(h: ex.Node, f: ex.Node, g: ex.Node, q: float, z: PhasePoint) -> float:

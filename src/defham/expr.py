@@ -474,7 +474,7 @@ def _diff(e: Node, kind: str, index: int, memo: dict) -> Node:
         elif e.func == "cos":
             outer = neg(call("sin", e.arg))
         else:  # exp
-            outer = e
+            outer = call("exp", e.arg)
         out = mul(outer, darg)
     else:
         raise TypeError(f"not an expression node: {e!r}")
@@ -605,13 +605,16 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
     return ns["_f"]
 
 
+def _variable_list(n: int) -> list[tuple[str, int]]:
+    return [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+
+
 class _CompiledJet:
     """Compiled value and gradient of one expression, and its Hessian,
     compiled on first use."""
 
     def __init__(self, e: Node):
-        n = e.n
-        self.variables = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+        self.variables = _variable_list(e.n)
         self.grads = [differentiate(e, v) for v in self.variables]
         self.value = compile_scalar(e)
         self.gradient = compile_vector(self.grads)

@@ -52,8 +52,7 @@ def evaluate_jet(e, point):
     The gradient is ordered (d/dx1..d/dxn, d/dy1..d/dyn); the Hessian is
     mirrored from its upper triangle, so it is exactly symmetric.
     """
-    n = e.n
-    variables = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+    variables = ex._variable_list(e.n)
     grads = [ex.differentiate(e, v) for v in variables]
     m = len(variables)
     hessian = np.zeros((m, m))

@@ -153,6 +153,24 @@ class TestSharedSubtrees:
         # nothing is kept between calls
         assert ex.differentiate(e, ("x", 1)) is not d
 
+    @pytest.mark.parametrize("text", ["exp(y1)", "exp(x1^2)"])
+    def test_exp_rooted_compiled_entry_goes_with_the_last_reference(self, text):
+        # the derivative of exp(u) must not hold the node exp(u) itself: the
+        # compiled jet keeps the derivatives, and an entry of the weak cache
+        # whose value refers to its key would never be freed
+        probe = ex.parse(text, 1)
+        gc.disable()  # plain reference counting must free the entry
+        try:
+            e = ex.parse(text, 1)
+            jet = ex.JetEvaluator(e)
+            freed = weakref.ref(e)
+            assert probe in ex._COMPILED_JETS
+            del e, jet
+            assert freed() is None
+            assert probe not in ex._COMPILED_JETS
+        finally:
+            gc.enable()
+
 
 class TestCompiled:
     def test_compile_scalar_matches_evaluate(self, rng):

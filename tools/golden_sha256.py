@@ -7,22 +7,17 @@ checkout this script lives in, and prints one line per written file:
     <sha256>  <scenario>/<file>
 
 The runs' own output goes to stderr.  Exits 1 if a scenario run exits
-non-zero.  To check that a change keeps the golden bytes, save the listing
-of one checkout and check the other against it:
+non-zero.  To check that a change keeps the golden bytes, run it in both
+checkouts and compare:
 
-    python tools/golden_sha256.py > before.txt          # parent checkout
-    python tools/golden_sha256.py --check before.txt    # changed checkout
-
-With ``--check`` only the lines that differ are printed, ``-`` for a line
-of the file that is missing and ``+`` for a new one, and any difference
-exits 1.
+    python tools/golden_sha256.py > before.txt   # parent checkout
+    python tools/golden_sha256.py > after.txt    # changed checkout
+    diff before.txt after.txt
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import difflib
 import hashlib
 import sys
 import tempfile
@@ -34,17 +29,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from defham.cli import run_scenario  # noqa: E402
 
 
-def differences(expected: list[str], actual: list[str]) -> list[str]:
-    """The lines that differ between two listings: ``- `` for a line only
-    in ``expected``, ``+ `` for a line only in ``actual``."""
-    return [line for line in difflib.ndiff(expected, actual) if line[:2] in ("- ", "+ ")]
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE", help="compare with a saved listing")
-    args = parser.parse_args()
-    lines, failed = [], []
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in sorted((ROOT / "scenarios").glob("*.json")):
             out = Path(tmp) / scenario.stem
@@ -54,14 +40,11 @@ def main() -> int:
                 failed.append(f"{scenario.stem} (exit {code})")
             for path in sorted(out.iterdir()) if out.is_dir() else []:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {scenario.stem}/{path.name}")
-    if args.check is not None:
-        lines = differences(Path(args.check).read_text().splitlines(), lines)
-    for line in lines:
-        print(line)
+                print(f"{digest}  {scenario.stem}/{path.name}")
     if failed:
         print(f"error: failed scenarios: {', '.join(failed)}", file=sys.stderr)
-    return 1 if failed or (args.check is not None and lines) else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
