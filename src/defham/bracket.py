@@ -28,8 +28,9 @@ def deformed_bracket(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
     """{H,F}_q(z) = omega(X^q_H(z), X_F(z))."""
     if q == 0:
         raise ValueError("q must be nonzero")
-    xh = HamiltonianField(h, q).field(z.as_array())
-    xf = HamiltonianField(f, 1.0).field(z.as_array())
+    za = z.as_array()
+    xh = HamiltonianField(h, q).field(za)
+    xf = HamiltonianField(f, 1.0).field(za)
     n = h.n
     # omega(u, v) = sum_i (b_u a_v - a_u b_v)
     return float(xh[n:] @ xf[:n] - xh[:n] @ xf[n:])

@@ -356,18 +356,26 @@ def _make_observer(spec: FlowSpec, energy: Callable):
     return ts, zs, es, observe
 
 
+def _path(spec: FlowSpec, rhs, z0, observe) -> None:
+    """Integrate zdot = rhs(z) from z0 with the spec's integrator.
+
+    The observer's float64 energies overflow to inf quietly: a blow-up is
+    reported as IntegrationError, not as a RuntimeWarning on stderr.
+    """
+    with np.errstate(all="ignore"):
+        if spec.integrator == "rk4":
+            rk4_path(rhs, z0, spec.t_final, spec.step, spec.sample_stride, observe)
+        else:
+            rkf45_path(
+                rhs, z0, spec.t_final, spec.rel_tol, spec.abs_tol, spec.sample_stride, observe
+            )
+
+
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
     ts, zs, es, observe = _make_observer(spec, f.energy)
-    za = z0.as_array()
-    if spec.integrator == "rk4":
-        rk4_path(f.field_list, za, spec.t_final, spec.step, spec.sample_stride, observe)
-    else:
-        rkf45_path(
-            f.field_list, za, spec.t_final, spec.rel_tol, spec.abs_tol, spec.sample_stride,
-            observe,
-        )
+    _path(spec, f.field_list, z0.as_array(), observe)
     return Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
 
 
@@ -391,13 +399,7 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
         ds.append(state[n2:].reshape(n2, n2))
 
     state0 = np.concatenate([z0.as_array(), np.eye(n2).ravel()])
-    if spec.integrator == "rk4":
-        rk4_path(rhs, state0, spec.t_final, spec.step, spec.sample_stride, observe)
-    else:
-        rkf45_path(
-            rhs, state0, spec.t_final, spec.rel_tol, spec.abs_tol, spec.sample_stride,
-            observe,
-        )
+    _path(spec, rhs, state0, observe)
     trajectory = Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
     return VariationalFlow(trajectory, np.array(ds))
 

@@ -73,58 +73,81 @@ class EvalError(ExprError):
 # expressions (derivatives, assembled Hamiltonians) keep their variable range.
 
 
+def _node(cls):
+    """A frozen dataclass whose hash, the one the dataclass computes from
+    its fields, is computed once: a node never changes, and a tree is
+    otherwise rehashed whole at every lookup of it."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class Node:
     n: int
+    _hash = None  # not a field: the cached hash of a subclass node
+
+    def __getstate__(self):
+        # the hash of a str differs between processes; recompute it after a copy
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Node):
     kind: str  # 'x' or 'y'
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Node):
     a: Node
     b: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Node):
     base: Node
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Node):
     a: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Node):
     func: str
     arg: Node
@@ -132,6 +155,10 @@ class Call(Node):
 
 # ---------------------------------------------------------------------------
 # Smart constructors: constant folding plus 0/1 identities, nothing more.
+# The identities are tested before two constants are folded: they give the
+# same tree without any Fraction arithmetic.
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def const(value, n: int) -> Const:
@@ -152,44 +179,48 @@ def _join_n(a: Node, b: Node) -> int:
     return a.n
 
 
-def _is_const(e: Node, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
+def _is_const(e: Node, value) -> bool:
+    return isinstance(e, Const) and e.value == value
 
 
 def add(a: Node, b: Node) -> Node:
     n = _join_n(a, b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(n, a.value + b.value)
     if _is_const(a, 0):
         return b
-    if _is_const(b, 0):
-        return a
+    if isinstance(b, Const):
+        if b.value == 0:
+            return a
+        if isinstance(a, Const):
+            return Const(n, a.value + b.value)
     return Add(n, a, b)
 
 
 def sub(a: Node, b: Node) -> Node:
     n = _join_n(a, b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(n, a.value - b.value)
     if _is_const(b, 0):
         return a
-    if _is_const(a, 0):
-        return neg(b)
+    if isinstance(a, Const):
+        if a.value == 0:
+            return neg(b)
+        if isinstance(b, Const):
+            return Const(n, a.value - b.value)
     return Sub(n, a, b)
 
 
 def mul(a: Node, b: Node) -> Node:
     n = _join_n(a, b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(n, a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
-        return Const(n, Fraction(0))
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
+    if isinstance(a, Const):
+        if a.value == 0:
+            return a
+        if a.value == 1:
+            return b
+    if isinstance(b, Const):
+        if b.value == 0:
+            return b
+        if b.value == 1:
+            return a
+        if isinstance(a, Const):
+            return Const(n, a.value * b.value)
     return Mul(n, a, b)
 
 
@@ -202,13 +233,13 @@ def div(a: Node, b: Node) -> Node:
     if _is_const(b, 1):
         return a
     if _is_const(a, 0):
-        return Const(n, Fraction(0))
+        return a
     return Div(n, a, b)
 
 
 def powi(base: Node, exponent: int) -> Node:
     if exponent == 0:
-        return Const(base.n, Fraction(1))
+        return Const(base.n, _ONE)
     if exponent == 1:
         return base
     if isinstance(base, Const):
@@ -449,9 +480,9 @@ def _diff(e: Node, kind: str, index: int, memo: dict) -> Node:
         return out
     n = e.n
     if isinstance(e, Const):
-        out = Const(n, Fraction(0))
+        out = Const(n, _ZERO)
     elif isinstance(e, Var):
-        out = Const(n, Fraction(1 if e.kind == kind and e.index == index else 0))
+        out = Const(n, _ONE if e.kind == kind and e.index == index else _ZERO)
     elif isinstance(e, Add):
         out = add(_diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo))
     elif isinstance(e, Sub):
@@ -610,13 +641,15 @@ def _variable_list(n: int) -> list[tuple[str, int]]:
 
 
 class _CompiledJet:
-    """Compiled value and gradient of one expression, and its Hessian,
-    compiled on first use."""
+    """Compiled gradient of one expression; its value and Hessian are
+    compiled on first use.  It must not refer to that expression: an entry
+    of _COMPILED_JETS whose value refers to its key is never freed, so the
+    value is compiled from the caller's equal expression."""
 
     def __init__(self, e: Node):
         self.variables = _variable_list(e.n)
         self.grads = [differentiate(e, v) for v in self.variables]
-        self.value = compile_scalar(e)
+        self.value = None
         self.gradient = compile_vector(self.grads)
         m = len(self.variables)
         self.pairs = [(i, j) for i in range(m) for j in range(i, m)]
@@ -644,9 +677,15 @@ class JetEvaluator:
         if compiled is None:
             compiled = _COMPILED_JETS[e] = _CompiledJet(e)
         self._compiled = compiled
-        self._value = compiled.value
         self._gradient = compiled.gradient
         self._m = len(compiled.variables)
+
+    @functools.cached_property
+    def _value(self) -> Callable[[Sequence[float]], float]:
+        compiled = self._compiled
+        if compiled.value is None:
+            compiled.value = compile_scalar(self.expression)
+        return compiled.value
 
     def value(self, z) -> float:
         return self._value(z)

@@ -367,16 +367,19 @@ def find_critical_points(
     options = options or MorseOptions()
     system = _System(spec, options)
     found: list[np.ndarray] = []
-    for seed in _newton_seeds(system):
-        u = _newton(system, seed)
-        if u is None:
-            continue
-        u = system.wrap_coords(u)
-        if not system.in_box(u, margin=1e-6):
-            continue
-        if any(system.distance(u, v) <= options.dedupe_distance for v in found):
-            continue
-        found.append(u)
+    # a seed where the float64 gradient overflows is skipped by _newton; it
+    # gives no RuntimeWarning on stderr
+    with np.errstate(all="ignore"):
+        for seed in _newton_seeds(system):
+            u = _newton(system, seed)
+            if u is None:
+                continue
+            u = system.wrap_coords(u)
+            if not system.in_box(u, margin=1e-6):
+                continue
+            if any(system.distance(u, v) <= options.dedupe_distance for v in found):
+                continue
+            found.append(u)
     found.sort(key=lambda u: tuple(np.round(u, 9)))
     return [
         CriticalPoint(

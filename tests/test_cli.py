@@ -342,6 +342,24 @@ class TestPipelineFailures:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "scenario.json"]
 
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            ({"kind": "simulate", "name": "domain error", "q": 1.0,
+              "integrator": {"type": "rk4", "step": 0.001},
+              **BLOW_UP, "hamiltonian": "y1*x1*x1 + sin(x1*x1*x1)"}, EXIT_CHECK_FAILURE),
+            ({"kind": "morse", "n": 1, "w": ["0"], "g": "0", "f": "x1^2 + sin(x1^4000)"},
+             EXIT_PASS),
+        ],
+        ids=["rk4_energy_overflow", "morse_newton_overflow"],
+    )
+    def test_float64_overflow_gives_no_runtime_warning(self, tmp_path, recwarn, doc, code):
+        # the rk4 observer's energy and the Newton gradient overflow on float64
+        # scalars; the run reports the blow-up or skips the seed, and stays quiet
+        path = write_doc(tmp_path, doc)
+        assert run_scenario(path, tmp_path) == code
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

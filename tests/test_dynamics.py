@@ -426,6 +426,14 @@ class TestRK4Kernel:
             dynamics.rk4_path(field.field_list, [1e103, 0.0], 1.0, 0.1, 1, lambda t, z: None)
         assert isinstance(err.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("flow", [integrate, integrate_variational])
+    def test_energy_overflow_gives_no_runtime_warning(self, recwarn, flow):
+        # the observer's float64 energy overflows before sin(inf) raises
+        spec = FlowSpec(ex.parse("y1*x1*x1 + sin(x1*x1*x1)", 1), 1, 1.0, t_final=2.0)
+        with pytest.raises(IntegrationError, match="solution blew up at t=1.002"):
+            flow(spec, PhasePoint((1.0,), (0.0,)))
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
     def test_regime_sweep_integrates_each_q_once(self, monkeypatch):
         calls = []
         original = dynamics.rk4_path

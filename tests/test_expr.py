@@ -1,11 +1,15 @@
 """Parsing, exact differentiation and jet evaluation.
 
-Oracles: hand-computed derivatives and values for small expressions, and
-central finite differences for randomized gradient checks.
+Oracles: hand-computed derivatives and values for small expressions,
+central finite differences for randomized gradient checks, and for random
+trees the constructors and derivative as they were before the 0/1
+identities were tested ahead of constant folding.
 """
 
+import dataclasses
 import gc
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -13,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from defham import expr as ex
 from defham.cli import _run_bracket
@@ -153,16 +159,23 @@ class TestSharedSubtrees:
         # nothing is kept between calls
         assert ex.differentiate(e, ("x", 1)) is not d
 
-    @pytest.mark.parametrize("text", ["exp(y1)", "exp(x1^2)"])
-    def test_exp_rooted_compiled_entry_goes_with_the_last_reference(self, text):
+    @pytest.mark.parametrize(
+        "text, value_first",
+        [("exp(y1)", False), ("exp(x1^2)", False), ("exp(y1)", True)],
+        ids=["exp(y1)", "exp(x1^2)", "exp(y1)-value"],
+    )
+    def test_exp_rooted_compiled_entry_goes_with_the_last_reference(self, text, value_first):
         # the derivative of exp(u) must not hold the node exp(u) itself: the
         # compiled jet keeps the derivatives, and an entry of the weak cache
-        # whose value refers to its key would never be freed
+        # whose value refers to its key would never be freed; nor may the
+        # value, compiled on first use, keep the node it was compiled from
         probe = ex.parse(text, 1)
         gc.disable()  # plain reference counting must free the entry
         try:
             e = ex.parse(text, 1)
             jet = ex.JetEvaluator(e)
+            if value_first:
+                assert jet.value([0.0, 0.0]) == 1.0
             freed = weakref.ref(e)
             assert probe in ex._COMPILED_JETS
             del e, jet
@@ -269,6 +282,22 @@ class TestSharedCompile:
             eager[i, j] = eager[j, i] = value
         assert (lazy == eager).all()
 
+    def test_value_compiled_on_first_use_and_shared(self, rng, monkeypatch):
+        text = "x1*y2^2 - cos(y1)/(2 + x2^2)"
+        z = random_point(rng, 2)
+        want = ex.compile_scalar(ex.parse(text, 2))(z)
+        compiles = []
+        original = ex.compile_scalar
+        monkeypatch.setattr(ex, "compile_scalar", lambda e: compiles.append(e) or original(e))
+        jet = ex.JetEvaluator(ex.parse(text, 2))
+        assert compiles == [] and jet._compiled.value is None
+        assert jet.value(z) == want
+        assert len(compiles) == 1
+        assert jet.value(z) == want
+        other = ex.JetEvaluator(ex.parse(text, 2))  # an equal tree shares the compile
+        assert other._compiled is jet._compiled and other.value(z) == want
+        assert len(compiles) == 1
+
     def test_threads_building_equal_jets_agree(self):
         # library users may build evaluators of equal expressions from several threads at once
         text = "x1^2*y1 + sin(y1)/(2 + cos(x1))"
@@ -307,3 +336,194 @@ class TestSharedCompile:
             _run_bracket(doc)
             counts.append(len(calls) - before)
         assert counts[0] == counts[1] > 0
+
+
+# The constructors and the derivative as they were when two constants were
+# folded before the 0/1 identities were tested; neg, call and const are
+# unchanged since.
+
+
+def _ref_is_const(e, value):
+    return isinstance(e, ex.Const) and e.value == value
+
+
+def ref_add(a, b):
+    n = ex._join_n(a, b)
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(n, a.value + b.value)
+    if _ref_is_const(a, 0):
+        return b
+    if _ref_is_const(b, 0):
+        return a
+    return ex.Add(n, a, b)
+
+
+def ref_sub(a, b):
+    n = ex._join_n(a, b)
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(n, a.value - b.value)
+    if _ref_is_const(b, 0):
+        return a
+    if _ref_is_const(a, 0):
+        return ex.neg(b)
+    return ex.Sub(n, a, b)
+
+
+def ref_mul(a, b):
+    n = ex._join_n(a, b)
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(n, a.value * b.value)
+    if _ref_is_const(a, 0) or _ref_is_const(b, 0):
+        return ex.Const(n, Fraction(0))
+    if _ref_is_const(a, 1):
+        return b
+    if _ref_is_const(b, 1):
+        return a
+    return ex.Mul(n, a, b)
+
+
+def ref_div(a, b):
+    n = ex._join_n(a, b)
+    if _ref_is_const(b, 0):
+        raise ex.ExprError("division by constant zero")
+    if isinstance(a, ex.Const) and isinstance(b, ex.Const):
+        return ex.Const(n, a.value / b.value)
+    if _ref_is_const(b, 1):
+        return a
+    if _ref_is_const(a, 0):
+        return ex.Const(n, Fraction(0))
+    return ex.Div(n, a, b)
+
+
+def ref_powi(base, exponent):
+    if exponent == 0:
+        return ex.Const(base.n, Fraction(1))
+    if exponent == 1:
+        return base
+    if isinstance(base, ex.Const):
+        return ex.Const(base.n, base.value ** exponent)
+    return ex.Pow(base.n, base, exponent)
+
+
+def ref_diff(e, kind, index, memo):
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    n = e.n
+    if isinstance(e, ex.Const):
+        out = ex.Const(n, Fraction(0))
+    elif isinstance(e, ex.Var):
+        out = ex.Const(n, Fraction(1 if e.kind == kind and e.index == index else 0))
+    elif isinstance(e, ex.Add):
+        out = ref_add(ref_diff(e.a, kind, index, memo), ref_diff(e.b, kind, index, memo))
+    elif isinstance(e, ex.Sub):
+        out = ref_sub(ref_diff(e.a, kind, index, memo), ref_diff(e.b, kind, index, memo))
+    elif isinstance(e, ex.Mul):
+        da, db = ref_diff(e.a, kind, index, memo), ref_diff(e.b, kind, index, memo)
+        out = ref_add(ref_mul(da, e.b), ref_mul(e.a, db))
+    elif isinstance(e, ex.Div):
+        da, db = ref_diff(e.a, kind, index, memo), ref_diff(e.b, kind, index, memo)
+        out = ref_div(ref_sub(ref_mul(da, e.b), ref_mul(e.a, db)), ref_powi(e.b, 2))
+    elif isinstance(e, ex.Pow):
+        dbase = ref_diff(e.base, kind, index, memo)
+        out = ref_mul(ref_mul(ex.const(e.exponent, n), ref_powi(e.base, e.exponent - 1)), dbase)
+    elif isinstance(e, ex.Neg):
+        out = ex.neg(ref_diff(e.a, kind, index, memo))
+    elif isinstance(e, ex.Call):
+        darg = ref_diff(e.arg, kind, index, memo)
+        if e.func == "sin":
+            outer = ex.call("cos", e.arg)
+        elif e.func == "cos":
+            outer = ex.neg(ex.call("sin", e.arg))
+        else:
+            outer = ex.call("exp", e.arg)
+        out = ref_mul(outer, darg)
+    memo[id(e)] = out
+    return out
+
+
+N_RANDOM = 2
+_LEAVES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]).map(
+        lambda c: ex.Const(N_RANDOM, c)
+    ),
+    st.builds(
+        lambda kind, index: ex.Var(N_RANDOM, kind, index),
+        st.sampled_from("xy"),
+        st.integers(1, N_RANDOM),
+    ),
+)
+_BINARY = st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div])
+
+
+def _extend(children):
+    # every node kind, built raw so that unfolded constants occur; a binary
+    # node over one child twice makes the tree a DAG
+    return st.one_of(
+        st.builds(lambda cls, a, b: cls(N_RANDOM, a, b), _BINARY, children, children),
+        st.builds(lambda cls, a: cls(N_RANDOM, a, a), _BINARY, children),
+        st.builds(lambda a, k: ex.Pow(N_RANDOM, a, k), children, st.integers(-2, 3)),
+        st.builds(lambda a: ex.Neg(N_RANDOM, a), children),
+        st.builds(lambda f, a: ex.Call(N_RANDOM, f, a), st.sampled_from(ex.FUNCTIONS), children),
+    )
+
+
+RANDOM_TREES = st.recursive(_LEAVES, _extend, max_leaves=10)
+RANDOM_POINTS = st.lists(st.floats(-2.0, 2.0), min_size=2 * N_RANDOM, max_size=2 * N_RANDOM)
+
+
+def _outcome(build):
+    """The text of the built tree, or the type of the error it raised."""
+    try:
+        return ex.to_text(build())
+    except (ArithmeticError, ex.ExprError) as err:
+        return type(err)
+
+
+def _all_nodes(e):
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(v for v in vars(node).values() if isinstance(v, ex.Node))
+    return list(seen.values())
+
+
+class TestConstructorsAndHashes:
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(RANDOM_TREES)
+    def test_partials_equal_folding_first_construction(self, e):
+        for v in ex._variable_list(N_RANDOM):
+            got = _outcome(lambda: ex.differentiate(e, v))
+            assert got == _outcome(lambda: ref_diff(e, *v, {}))
+            if isinstance(got, str):
+                assert ex.differentiate(e, v) == ref_diff(e, *v, {})
+
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(RANDOM_TREES, RANDOM_POINTS)
+    def test_compiled_gradient_equals_oracle_and_hashes_are_the_fields(self, e, z):
+        try:
+            want = evaluate_jet(e, z).gradient.tolist()
+        except (ArithmeticError, ValueError):  # a pole, an overflow, a domain error
+            want = None
+        assume(want is not None and all(map(math.isfinite, want)))
+        jet = ex.JetEvaluator(e)
+        assert list(jet.gradient(z)) == want
+        for node in _all_nodes(e) + [n for g in jet._compiled.grads for n in _all_nodes(g)]:
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields)
+
+    def test_a_pickled_node_hashes_afresh(self):
+        # str hashes differ between processes, so a cached hash is not pickled
+        e = ex.parse("x1*y1 + sin(x1)", 1)
+        hash(e)
+        assert "_hash" not in e.__reduce_ex__(2)[2]
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and hash(copy) == hash(e)

@@ -334,6 +334,14 @@ class TestFloatKernels:
             assert _newton(system, np.array([seed])) is None
             assert abs(_newton(system, np.array([0.5]))[0]) < 1e-12  # the minimum
 
+    def test_seed_sweep_gives_no_runtime_warning(self, recwarn):
+        # x1^4000 overflows on float64 from the far seeds, which are skipped;
+        # the minimum at 0 is found without a RuntimeWarning
+        spec = MorseSpec(1, ex.parse("x1^2 + sin(x1^4000)", 1), [ex.parse("0", 1)], ex.parse("0", 1))
+        [point] = find_critical_points(spec)
+        assert abs(point.z.x[0]) < 1e-12 and point.index == 0
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
     def test_newton_rejects_over_long_step(self):
         # for x1^3 the Newton step from x is x/2: 50 from 100, past 10 * span = 40
         spec = MorseSpec(1, ex.parse("x1^3", 1), [ex.parse("0", 1)], ex.parse("0", 1))
