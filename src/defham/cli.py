@@ -708,16 +708,34 @@ _RUNNERS = {
 }
 
 
+def _finite(parse):
+    """JSON number hook: ``parse(text)``, ScenarioError if not a finite float."""
+
+    def number(text: str):
+        if not math.isfinite(float(text)):
+            raise ScenarioError(f"number {text} is not a finite float")
+        return parse(text)
+
+    return number
+
+
+def _load_scenario(path: Path) -> dict:
+    """Read and validate a scenario file for ``run`` and ``validate``; Python's
+    json reads NaN, Infinity and 1e999, which raise ScenarioError here."""
+    try:
+        doc = json.loads(path.read_text(), parse_float=_finite(float),
+                         parse_int=_finite(int), parse_constant=_finite(float))
+    except (OSError, json.JSONDecodeError) as err:
+        raise ScenarioError(f"cannot read scenario: {err}") from None
+    validate_scenario(doc)
+    return doc
+
+
 def run_scenario(scenario_path, out_dir=None) -> int:
     """Execute a scenario file; returns the process exit code."""
     path = Path(scenario_path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read scenario: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        validate_scenario(doc)
+        doc = _load_scenario(path)
     except ScenarioError as err:
         print(f"error: invalid scenario: {err}", file=sys.stderr)
         return EXIT_INVALID
@@ -761,9 +779,8 @@ def run_scenario(scenario_path, out_dir=None) -> int:
 
 def validate_command(scenario_path) -> int:
     try:
-        doc = json.loads(Path(scenario_path).read_text())
-        validate_scenario(doc)
-    except (OSError, json.JSONDecodeError, ScenarioError) as err:
+        _load_scenario(Path(scenario_path))
+    except ScenarioError as err:
         print(f"error: invalid scenario: {err}", file=sys.stderr)
         return EXIT_INVALID
     print("scenario is valid")

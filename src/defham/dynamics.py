@@ -8,6 +8,11 @@ the unique solution of omega(X, .) = -d_q H under the sign convention of
 the phase module.  Flows are integrated with a fixed-step classical RK4 or
 an adaptive Fehlberg RKF45; the Jacobian of the flow map is co-integrated
 from the exact symbolic Hessian of H.
+
+Both integrators are straight-line kernels generated once per state length
+(_rk4_loop, _fehlberg_trial) on lists of Python floats.  A flow's rhs is
+the field compiled once per (H, q) (HamiltonianField.compiled_field);
+field_list stays the pointwise form for single evaluations.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ class FlowSpec:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for name in ("q", "step", "rel_tol", "abs_tol", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.q == 0:
             raise ValueError("q must be nonzero")
         if self.space not in ("plane", "torus"):
@@ -115,8 +123,17 @@ class HamiltonianField:
         return np.array(self.field_list(z))
 
     def field_list(self, z) -> list:
-        """The field as a list of floats: the right-hand side of the integrators."""
+        """The field at one point as a list of floats (compiled_field, pointwise)."""
         return self.field_from_gradient(self.jet.gradient(z))
+
+    @functools.cached_property
+    def compiled_field(self) -> Callable[[Sequence[float]], list]:
+        """field_list compiled once, rounding as it does: the rhs of the flows."""
+        grads = self.jet.derivatives
+        n = self.n
+        return ex.compile_scaled(
+            [(self._qinv, g) for g in grads[n:]] + [(-1.0, g) for g in grads[:n]], __name__
+        )
 
     def field_from_gradient(self, g: Sequence[float]) -> list:
         """The field as a list of floats, given the gradient of H at the point."""
@@ -165,39 +182,62 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
 # torus reduction happens only when samples are stored.
 
 
+@functools.lru_cache(maxsize=None)
+def _rk4_loop(d: int) -> Callable:
+    """Compiled RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``.
+
+    Straight-line code for states of length d on unpacked components z_i:
+    stage arguments ``z_i + half*k_i`` and ``z_i + h*k_i``, and the update
+    ``z_i + sixth*(((a_i + 2.0*b_i) + 2.0*c_i) + e_i)``, the rounding of the
+    array form on float64.
+    """
+    zs = ", ".join(f"z_{i}" for i in range(d))
+
+    def stage(k, scale, prev):
+        args = ", ".join(f"z_{i} + {scale} * {prev}_{i}" for i in range(d)) if prev else zs
+        return f"            {zs.replace('z_', k + '_')}, = rhs([{args}])"
+
+    lines = [
+        "def loop(rhs, z, nsteps, h, stride, observe):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {zs}, = z",
+        "    for k in range(1, nsteps + 1):",
+        "        try:",
+        stage("a", "", ""),
+        stage("b", "half", "a"),
+        stage("c", "half", "b"),
+        stage("e", "h", "c"),
+        "        except non_finite as err:",
+        '            raise IntegrationError("solution blew up", k * h) from err',
+        *(f"        z_{i} = z_{i} + sixth * (((a_{i} + 2.0 * b_{i}) + 2.0 * c_{i}) + e_{i})"
+          for i in range(d)),
+        f"        if not ({' and '.join(f'isfinite(z_{i})' for i in range(d))}):",
+        '            raise IntegrationError("solution blew up", k * h)',
+        "        if k % stride == 0 or k == nsteps:",
+        f"            observe(k * h, [{zs}])",
+        f"    return [{zs}]",
+    ]
+    namespace = {"__name__": __name__, "isfinite": math.isfinite, "non_finite": _NON_FINITE,
+                 "IntegrationError": IntegrationError}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["loop"]
+
+
 def rk4_path(rhs, z0, t_final, step, stride, observe):
     """Classical RK4 with a fixed step of about ``step`` over [0, t_final].
 
-    The state is a list of Python floats, as in rkf45_path.  Each step
-    rounds exactly as the array form on float64 does: stage arguments
-    ``z + (0.5*h)*k`` and ``z + h*k``, and the update
-    ``z + (h/6) * (((k1 + 2*k2) + 2*k3) + k4)``.  A stage that raises
-    OverflowError, ZeroDivisionError or ValueError (where float64 gives inf
-    or nan), or a non-finite step, raises IntegrationError.
+    The state is a list of Python floats.  The steps run in a straight-line
+    loop generated once per state length (_rk4_loop), as rkf45_path's trial
+    step is (_fehlberg_trial), and round exactly as the array form on
+    float64 does.  A stage that raises OverflowError, ZeroDivisionError or
+    ValueError (where float64 gives inf or nan), or a non-finite step,
+    raises IntegrationError.  Flows pass HamiltonianField.compiled_field.
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
-    h = t_final / nsteps
-    half = 0.5 * h
-    sixth = h / 6.0
     observe(0.0, z)
-    for k in range(1, nsteps + 1):
-        try:
-            k1 = rhs(z)
-            k2 = rhs([a + half * b for a, b in zip(z, k1)])
-            k3 = rhs([a + half * b for a, b in zip(z, k2)])
-            k4 = rhs([a + h * b for a, b in zip(z, k3)])
-        except _NON_FINITE as err:
-            raise IntegrationError("solution blew up", k * h) from err
-        z = [
-            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, z)):
-            raise IntegrationError("solution blew up", k * h)
-        if k % stride == 0 or k == nsteps:
-            observe(k * h, z)
-    return z
+    return _rk4_loop(len(z))(rhs, z, nsteps, t_final / nsteps, stride, observe)
 
 
 # Fehlberg 4(5) tableau.
@@ -375,19 +415,20 @@ def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
     ts, zs, es, observe = _make_observer(spec, f.energy)
-    _path(spec, f.field_list, z0.as_array(), observe)
+    _path(spec, f.compiled_field, z0.as_array(), observe)
     return Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
 
 
 def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
     """Co-integrate the flow with Ddot = (dX^q_H/dz) D, D(0) = I."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
+    field = f.compiled_field
     n2 = 2 * spec.n
 
     def rhs(state):
         z = state[:n2]
         dd = f.field_jacobian(z) @ np.reshape(state[n2:], (n2, n2))
-        return f.field_list(z) + dd.ravel().tolist()
+        return field(z) + dd.ravel().tolist()
 
     ts, zs, es, observe_z = _make_observer(spec, f.energy)
     ds: list[np.ndarray] = []

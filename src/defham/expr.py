@@ -48,6 +48,7 @@ __all__ = [
     "used_variables",
     "compile_scalar",
     "compile_vector",
+    "compile_scaled",
     "JetEvaluator",
 ]
 
@@ -636,6 +637,17 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
     return ns["_f"]
 
 
+def compile_scaled(
+    terms: Iterable[tuple[float, Node]], module: str
+) -> Callable[[Sequence[float]], list]:
+    """Compile ``z -> [c * e(z) for c, e in terms]``, each entry ``c * (e)`` rounding as
+    c times the compiled e (``-1.0 * (0)`` is -0.0); ``module`` is its ``__module__``."""
+    body = ", ".join(f"{c!r} * {_codegen(e)}" for c, e in terms)
+    ns = dict(_NAMESPACE, inf=math.inf, __name__=module)
+    exec(f"def _f(z):\n    return [{body}]\n", ns)
+    return ns["_f"]
+
+
 def _variable_list(n: int) -> list[tuple[str, int]]:
     return [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
 
@@ -686,6 +698,11 @@ class JetEvaluator:
         if compiled.value is None:
             compiled.value = compile_scalar(self.expression)
         return compiled.value
+
+    @property
+    def derivatives(self) -> list[Node]:
+        """The partials (d/dx1..d/dxn, d/dy1..d/dyn) the gradient is compiled from."""
+        return self._compiled.grads
 
     def value(self, z) -> float:
         return self._value(z)

@@ -135,6 +135,31 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             validate_scenario([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "key, number",
+        [("t_final", "Infinity"), ("t_final", "NaN"), ("q", "Infinity"), ("t_final", "1e999"),
+         ("t_final", "1" + "0" * 400)],
+        ids=["t_final_infinity", "t_final_nan", "q_infinity", "t_final_1e999", "t_final_big_int"],
+    )
+    def test_non_finite_number_is_invalid_for_validate_and_run(
+        self, tmp_path, capsys, key, number
+    ):
+        # Python's json reads these; before the shared loader, validate passed
+        # them and run crashed (exit 1), exited 2, or passed q = Infinity
+        doc = {
+            "kind": "simulate", "name": "x", "n": 1, "q": 1.0,
+            "hamiltonian": "(x1^2 + y1^2)/2", "z0": [1.0, 0.0], "t_final": 1.0,
+            "integrator": {"type": "rk4", "step": 0.01}, "output": "t.csv",
+        }
+        del doc[key]
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{json.dumps(doc)[:-1]}, "{key}": {number}}}')
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_INVALID
+        assert not (tmp_path / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.count("is not a finite float") == 2 and "Traceback" not in err
+
 
 class TestRun:
     def test_passing_scenario_exits_zero(self, tmp_path):

@@ -6,9 +6,12 @@ harmonic oscillator at q = 1, and Runge-Kutta order measured by step halving.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defham import dynamics
 from defham import expr as ex
@@ -71,6 +74,50 @@ class TestField:
         g = np.array(f.jet.gradient(z), dtype=float)
         want = np.concatenate([2.0 * g[2:], -g[:2]])
         assert np.array(f.field_list(z), dtype=float).tobytes() == want.tobytes()
+
+
+_N = 2
+# polynomial terms (coefficient, factors); variables no term uses have the
+# integer derivative (0)
+_TERMS = st.lists(
+    st.tuples(
+        st.fractions(-4, 4, max_denominator=3),
+        st.lists(st.tuples(st.sampled_from("xy"), st.integers(1, _N)), max_size=3),
+    ),
+    max_size=5,
+)
+_POINTS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+    min_size=2 * _N,
+    max_size=2 * _N,
+)
+
+
+def _polynomial(terms):
+    e = ex.const(0, _N)
+    for coeff, factors in terms:
+        term = ex.const(coeff, _N)
+        for kind, index in factors:
+            term = ex.mul(term, ex.var(kind, index, _N))
+        e = ex.add(e, term)
+    return e
+
+
+class TestCompiledField:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_TERMS, _POINTS, st.sampled_from([-2.0, 1 / 3, 0.5, 1.0, 3.0]))
+    @example([(Fraction(3, 2), [("x", 1)])], [-0.0, 0.0, -0.0, 0.0], -2.0)
+    def test_byte_identical_to_field_from_gradient(self, terms, z, q):
+        field = HamiltonianField(_polynomial(terms), q)
+        want = field.field_from_gradient(field.jet.gradient(z))
+        got = field.compiled_field(z)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_reports_the_dynamics_module(self):
+        # a tracer charges a callback to the layer named by its __module__
+        field = HamiltonianField(ex.parse(OSC, 1), 0.5)
+        assert field.compiled_field.__module__ == "defham.dynamics"
+        assert dynamics._rk4_loop(2).__module__ == "defham.dynamics"
 
 
 class TestDissipationIdentity:
@@ -163,6 +210,10 @@ class TestIntegrate:
             FlowSpec(h, 1, 1.0, sample_stride=0)
         with pytest.raises(ValueError):
             FlowSpec(h, 2, 1.0)  # dimension mismatch
+        for name in ("q", "step", "rel_tol", "abs_tol", "t_final"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    FlowSpec(h, 1, **{"q": 1.0, name: value})
 
 
 class TestVariational:
@@ -296,6 +347,19 @@ class TestRKF45Kernel:
             assert t == t_ref
             assert np.array(z).tobytes() == z_ref.tobytes()
 
+    def test_integrate_path_is_bit_identical(self):
+        h = ex.parse("y1^2/2 + y2^2/2 + (1 - cos(x1)) + x1*x2^2/4 - x2*y1/3", 2)
+        spec = FlowSpec(
+            h, 2, 0.5, integrator="rkf45", rel_tol=1e-10, abs_tol=1e-12, t_final=2.0
+        )
+        traj = integrate(spec, PhasePoint((0.7, -0.4), (0.3, 0.9)))
+        field = HamiltonianField(h, 0.5)
+        expected = _reference_rkf45(field.field, [0.7, -0.4, 0.3, 0.9], 2.0, 1e-10, 1e-12)
+        assert len(traj.ts) == len(expected) > 50
+        for t, z, (t_ref, z_ref) in zip(traj.ts, traj.zs, expected):
+            assert t == t_ref
+            assert z.tobytes() == z_ref.tobytes()
+
     def test_variational_path_is_bit_identical(self):
         # [DERIVED] n = 2 co-integrated Jacobian: a 20-component state, so
         # the error norm takes numpy's 8-way pairwise summation
@@ -379,6 +443,18 @@ class TestRK4Kernel:
         field = HamiltonianField(spec.hamiltonian, spec.q)
         expected = _reference_rk4(field.field, [1.0, 2.0], 3.0, 1e-3)
         assert len(traj.ts) == len(expected) == 3001
+        for t, z, (t_ref, z_ref) in zip(traj.ts, traj.zs, expected):
+            assert t == t_ref
+            assert z.tobytes() == z_ref.tobytes()
+
+    def test_trig_and_power_path_is_bit_identical(self):
+        spec = FlowSpec(
+            ex.parse("y1^2/2 + (1 - cos(x1)) + x1^3/5", 1), 1, 1 / 3, step=1e-3, t_final=2.0
+        )
+        traj = integrate(spec, PhasePoint((0.9,), (-0.4,)))
+        field = HamiltonianField(spec.hamiltonian, spec.q)
+        expected = _reference_rk4(field.field, [0.9, -0.4], 2.0, 1e-3)
+        assert len(traj.ts) == len(expected) == 2001
         for t, z, (t_ref, z_ref) in zip(traj.ts, traj.zs, expected):
             assert t == t_ref
             assert z.tobytes() == z_ref.tobytes()
