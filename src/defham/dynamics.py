@@ -87,11 +87,11 @@ class FlowSpec:
 
 @dataclass
 class Trajectory:
-    """Time-sampled solution of zdot = X^q_H(z)."""
+    """Time-sampled solution of zdot = X^q_H(z), stacked once from its samples."""
 
     ts: np.ndarray
-    zs: np.ndarray  # shape (m, 2n), torus x-coordinates wrapped at samples
-    energies: np.ndarray
+    zs: np.ndarray  # shape (m, 2n), torus x-coordinates wrapped mod 2*pi
+    energies: np.ndarray  # H at each sample, taken before the wrap
     n: int
     space: str = "plane"
 
@@ -103,7 +103,7 @@ class VariationalFlow:
 
 
 class HamiltonianField:
-    """Compiled field, energy and field-Jacobian evaluation for one (H, q)."""
+    """Compiled field and field-Jacobian evaluation for one (H, q); H is self.jet."""
 
     def __init__(self, hamiltonian: ex.Node, q: float):
         if q == 0:
@@ -112,9 +112,6 @@ class HamiltonianField:
         self.q = float(q)
         self.jet = ex.JetEvaluator(hamiltonian)
         self._qinv = 1.0 / float(q)
-
-    def energy(self, z) -> float:
-        return self.jet.value(z)
 
     def gradient(self, z) -> np.ndarray:
         return np.array(self.jet.gradient(z))
@@ -374,33 +371,40 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe, h0=None):
     return z
 
 
-def _make_observer(spec: FlowSpec, energy: Callable):
-    ts: list[float] = []
-    zs: list[np.ndarray] = []
-    es: list[float] = []
-    n = spec.n
-    torus = spec.space == "torus"
+def _make_observer(energy: Callable):
+    """``(ts, states, es, observe)``: observe(t, z) keeps the integrator's list z,
+    new at each sample, and its energy on Python floats or, where they raise,
+    on float64, which rounds the same but gives inf or nan (a math function of
+    those still raises, as IntegrationError)."""
+    ts, states, es = [], [], []
 
     def observe(t, z):
-        # energies on float64, where an overflow gives inf instead of raising,
-        # but a math function of inf or nan still raises; the energy is taken
-        # on the unwrapped state, so only the wrap copies
-        z = np.asarray(z, dtype=float)
         try:
-            es.append(energy(z))
-        except _NON_FINITE as err:
-            raise IntegrationError("solution blew up", t) from err
+            e = energy(z)
+        except _NON_FINITE:
+            try:
+                e = energy(np.asarray(z, dtype=float))
+            except _NON_FINITE as err:
+                raise IntegrationError("solution blew up", t) from err
         ts.append(t)
-        zs.append(np.concatenate((wrap_angles(z[:n]), z[n:])) if torus else z)
+        states.append(z)
+        es.append(e)
 
-    return ts, zs, es, observe
+    return ts, states, es, observe
+
+
+def _trajectory(spec: FlowSpec, ts: list, zs: np.ndarray, es: list) -> Trajectory:
+    """The Trajectory of stored samples zs, whose torus x-columns are wrapped in place."""
+    if spec.space == "torus":
+        zs[:, : spec.n] = wrap_angles(zs[:, : spec.n])
+    return Trajectory(np.array(ts), zs, np.array(es), spec.n, spec.space)
 
 
 def _path(spec: FlowSpec, rhs, z0, observe) -> None:
     """Integrate zdot = rhs(z) from z0 with the spec's integrator.
 
-    The observer's float64 energies overflow to inf quietly: a blow-up is
-    reported as IntegrationError, not as a RuntimeWarning on stderr.
+    The observer's float64 fallback energies overflow to inf quietly: a
+    blow-up is reported as IntegrationError, not as a RuntimeWarning on stderr.
     """
     with np.errstate(all="ignore"):
         if spec.integrator == "rk4":
@@ -414,9 +418,9 @@ def _path(spec: FlowSpec, rhs, z0, observe) -> None:
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    ts, zs, es, observe = _make_observer(spec, f.energy)
+    ts, zs, es, observe = _make_observer(f.jet.value)
     _path(spec, f.compiled_field, z0.as_array(), observe)
-    return Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
+    return _trajectory(spec, ts, np.array(zs), es)
 
 
 def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
@@ -430,19 +434,11 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
         dd = f.field_jacobian(z) @ np.reshape(state[n2:], (n2, n2))
         return field(z) + dd.ravel().tolist()
 
-    ts, zs, es, observe_z = _make_observer(spec, f.energy)
-    ds: list[np.ndarray] = []
-
-    def observe(t, state):
-        # one array per sample: the stored z and D are views of it
-        state = np.asarray(state, dtype=float)
-        observe_z(t, state[:n2])
-        ds.append(state[n2:].reshape(n2, n2))
-
-    state0 = np.concatenate([z0.as_array(), np.eye(n2).ravel()])
-    _path(spec, rhs, state0, observe)
-    trajectory = Trajectory(np.array(ts), np.array(zs), np.array(es), spec.n, spec.space)
-    return VariationalFlow(trajectory, np.array(ds))
+    ts, states, es, observe = _make_observer(f.jet.value)  # H reads the first 2n entries
+    _path(spec, rhs, np.concatenate([z0.as_array(), np.eye(n2).ravel()]), observe)
+    states = np.array(states)
+    trajectory = _trajectory(spec, ts, states[:, :n2], es)
+    return VariationalFlow(trajectory, states[:, n2:].reshape(len(ts), n2, n2))
 
 
 def pullback_defect(

@@ -284,10 +284,14 @@ class _System:
 
         v may be a stack of points, one per row.
         """
-        d = np.subtract(v, u, dtype=float)
+        return self.wrap_displacement(np.subtract(v, u, dtype=float))
+
+    def wrap_displacement(self, d: np.ndarray) -> np.ndarray:
+        """Reduce the angles of d to (-pi, pi] in place; d is contiguous, its
+        points one per row or end to end."""
         if self.wrap:
-            n = self.spec.n
-            d[..., :n] = (d[..., :n] + math.pi) % TWO_PI - math.pi
+            angles = d.reshape(-1, self.dim)[:, : self.spec.n]
+            angles[...] = (angles + math.pi) % TWO_PI - math.pi
         return d
 
     def in_box(self, u, margin: float = 0.5) -> bool:
@@ -481,7 +485,7 @@ def _unstable_frame(system: _System, u: np.ndarray) -> np.ndarray:
 class _ShotResult:
     outcome: str  # "captured", "escaped", "timeout"
     target: Optional[int]
-    min_dist: np.ndarray  # closest approach per target along the path
+    min_dist: list  # closest approach per target along the path
     ts: list
     states: list
     last_state: Optional[list] = None
@@ -497,23 +501,30 @@ def _shoot(
 ) -> _ShotResult:
     opts = system.options
     delta = opts.capture_radius
-    result = _ShotResult("timeout", None, np.full(len(targets), np.inf), [], [])
+    result = _ShotResult("timeout", None, [math.inf] * len(targets), [], [])
+    best, copies = result.min_dist, len(targets)
+    # one buffer for the displacements to all targets; a row's ddot is system.distance's
+    goals = np.array(targets, dtype=float).reshape(-1)
+    flat = np.empty(goals.size)
+    rows = list(flat.reshape(copies, system.dim))
 
     class _Stop(Exception):
         pass
 
     def observe(t, z):
-        # the integrator hands over a new list each step, so z is kept as is;
-        # one array serves the distances and a kept state
+        # the integrator hands over a new list each step, so z is kept as is
         result.last_state = z
-        state = np.array(z)
         if keep_states:
             result.ts.append(t)
-            result.states.append(state)
-        for idx, target in enumerate(targets):
-            dist = system.distance(state, target)
-            if dist < result.min_dist[idx]:
-                result.min_dist[idx] = dist
+            result.states.append(np.array(z))
+        d = flat  # a local name for the in-place -=
+        d[:] = z * copies
+        d -= goals
+        system.wrap_displacement(d)
+        for idx, row in enumerate(rows):
+            dist = math.sqrt(row.dot(row))
+            if dist < best[idx]:
+                best[idx] = dist
             if dist < delta:
                 result.outcome = "captured"
                 result.target = idx

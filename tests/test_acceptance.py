@@ -37,7 +37,13 @@ from test_forms import random_form
 from test_morse import circle_spec, torus_spec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-GOLDEN = sorted(SCENARIOS.glob("*.json"))
+# the two Morse scenarios whose determinism check takes most of a minute
+_SLOW_GOLDEN = {"adiabatic_s1", "morse_s1"}
+GOLDEN = [
+    pytest.param(p, id=p.stem, marks=pytest.mark.slow) if p.stem in _SLOW_GOLDEN
+    else pytest.param(p, id=p.stem)
+    for p in sorted(SCENARIOS.glob("*.json"))
+]
 
 
 def _report(number, title):
@@ -159,6 +165,7 @@ def test_criterion_06_lie_admissibility(rng):
     _report(6, "Lie-admissibility and Jacobi")
 
 
+@pytest.mark.slow
 def test_criterion_07_morse_circle_fixture():
     # Two critical points at (0, -/+1, +/-1/2, 0) within 1e-8, indices
     # {1, 2}, raw count 2 with mod-2 boundary 0, ranks {1: 1, 2: 1}
@@ -192,6 +199,7 @@ def test_criterion_08_torus_sanity():
     _report(8, "torus Morse homology (1, 2, 1)")
 
 
+@pytest.mark.slow
 def test_criterion_09_adiabatic_limit():
     # Flow-line deviation from Z strictly decreases along q = 1, 0.3, 0.1,
     # 0.03 with total decrease factor >= 5 (pinned at 36.3 by the golden
@@ -218,7 +226,7 @@ def test_criterion_10_metric_geometry():
     _report(10, "fibre volume q^{n/2} and split signature")
 
 
-@pytest.mark.parametrize("scenario", GOLDEN, ids=lambda p: p.stem)
+@pytest.mark.parametrize("scenario", GOLDEN)
 def test_criterion_11_determinism(tmp_path, scenario):
     # Repeated runs of every golden scenario are byte-identical.
     out1, out2 = tmp_path / "a", tmp_path / "b"

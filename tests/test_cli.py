@@ -1,19 +1,29 @@
 """Scenario validation, execution, exit codes and artifact determinism."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from defham import dynamics as dyn
+from defham import expr as ex
 from defham.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INVALID,
     EXIT_PASS,
     ScenarioError,
+    _flow_spec,
+    _regime_violations,
+    _z0,
     main,
     run_scenario,
     validate_scenario,
 )
+from defham.phase import PhasePoint
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -296,6 +306,15 @@ def regime_sweep(**overrides):
     return doc
 
 
+# sums of up to five terms, each an integer times up to three factors
+_FACTORS = ["x1", "x2", "y1", "y2", "sin(x1)", "cos(x2)", "sin(y1)", "exp(y2/4)", "1/(2 + x1^2)"]
+_HAMILTONIANS = st.lists(
+    st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3)),
+    min_size=1,
+    max_size=5,
+).map(lambda terms: " + ".join(f"({c})*" + "*".join(factors) for c, factors in terms))
+
+
 class TestSweepChecks:
     def test_row_whose_flow_blows_up_is_a_violation(self, tmp_path):
         # [DERIVED] xdot = x1^2 / q from x1 = 1 escapes at t = q < 2
@@ -320,6 +339,63 @@ class TestSweepChecks:
             {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
         ]
 
+    def test_flow_with_no_coupled_sample_is_a_violation(self, tmp_path):
+        # [DERIVED] H = x1^2/2 has H_y1 = 0, so no sample is coupled and the
+        # check of each q != 1 row has nothing to check
+        path = write_doc(tmp_path, regime_sweep(hamiltonian="x1^2/2", q_list=[2.0, 0.5]))
+        assert run_scenario(path, tmp_path) == EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"] == [
+            {"name": "regime_trichotomy_violations", "measured": 2, "threshold": 0, "pass": False}
+        ]
+
+    def test_golden_counts_equal_the_float64_check(self):
+        doc = json.loads((SCENARIOS / "regime_trichotomy.json").read_text())
+        tol = doc["checks"][0]["tol"]
+        for q in doc["q_list"]:
+            if q == 1:
+                continue
+            spec = _flow_spec(dict(doc, q=q))
+            trajectory = dyn.integrate(spec, _z0(doc))
+            violations, coupled = _reference_regime_violations(spec, trajectory, tol)
+            assert coupled > 1000  # x1 y1 > 0 on part of each turn
+            assert _regime_violations(spec, trajectory, tol) == violations == 0
+
+    def test_sample_where_python_floats_raise_is_taken_on_float64(self, recwarn):
+        # [DERIVED] at x1 = 0 the gradient of y1/x1 raises 0.0**-1; on float64
+        # it is (-inf, inf), a coupling of -inf, so that sample is skipped
+        spec = dyn.FlowSpec(ex.parse("y1*x1^-1", 1), 1, 0.5)
+        zs = np.array([[-1.0, 1.0], [0.0, 2.0], [-2.0, 1.0]])
+        trajectory = dyn.Trajectory(np.arange(3.0), zs, np.zeros(3), 1)
+        with np.errstate(all="ignore"):
+            violations, coupled = _reference_regime_violations(spec, trajectory, 1e-8)
+        assert (violations, coupled) == (0, 2)
+        assert _regime_violations(spec, trajectory, 1e-8) == 0
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(
+        _HAMILTONIANS,
+        st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+        st.sampled_from([-2.0, 0.5, 0.9, 1.1, 3.0]),
+        st.sampled_from(["plane", "torus"]),
+        st.sampled_from([0.0, 1e-8, 1e-3]),
+    )
+    def test_counts_equal_the_float64_check(self, text, z0, q, space, tol):
+        # random polynomial, quotient and trig H; the sums differ from np.dot's
+        # only in rounding, so a count may move only at the tolerance boundary
+        spec = dyn.FlowSpec(ex.parse(text, 2), 2, q, space=space, step=0.02, t_final=1.0)
+        try:
+            with np.errstate(all="ignore"):
+                trajectory = dyn.integrate(spec, PhasePoint(z0[:2], z0[2:]))
+                violations, coupled = _reference_regime_violations(spec, trajectory, tol)
+        except (dyn.IntegrationError, ArithmeticError, ValueError):
+            assume(False)
+        assert _regime_violations(spec, trajectory, tol) == (violations if coupled else 1)
+
     def test_fibre_volume_power_fails_on_a_failed_row(self, tmp_path):
         # the fibre volume needs q > 0; a failed row must fail the check
         doc = json.loads((SCENARIOS / "fibre_volume_sweep.json").read_text())
@@ -329,6 +405,25 @@ class TestSweepChecks:
         [record] = json.loads((tmp_path / "report.json").read_text())["checks"]
         assert record["name"] == "fibre_volume_power" and record["pass"] is False
         assert record["measured"] == float("inf")
+
+
+def _reference_regime_violations(spec, trajectory, tol):
+    """The regime check of a q != 1 trajectory on float64 arrays, with np.dot
+    sums: (violations, samples coupled above tol)."""
+    field = dyn.HamiltonianField(spec.hamiltonian, spec.q)
+    n = spec.n
+    expected = 1.0 if (1.0 / spec.q - 1.0) > 0 else -1.0
+    violations = coupled = 0
+    for z in trajectory.zs:
+        g = field.gradient(z)
+        coupling = float(g[:n] @ g[n:])
+        if coupling <= tol:
+            continue
+        coupled += 1
+        dhdt = float(g @ field.field_from_gradient(g.tolist()))
+        if math.copysign(1.0, dhdt) != expected:
+            violations += 1
+    return violations, coupled
 
 
 class TestPipelineFailures:

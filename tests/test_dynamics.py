@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from defham import dynamics
@@ -29,9 +29,10 @@ from defham.dynamics import (
     trajectory_csv,
 )
 from defham.morse import MorseOptions, _System, build_hamiltonian
-from defham.phase import PhasePoint
+from defham.phase import PhasePoint, wrap_angles
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point
+from test_expr import N_RANDOM, RANDOM_TREES
 from test_morse import circle_spec
 
 OSC = "(x1^2 + y1^2)/2"
@@ -529,6 +530,98 @@ class TestRK4Kernel:
             {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
         ]
         assert calls == [0.5] * 3
+
+
+def _float64_energy(energy, z, t):
+    """The energy as a flow's observer took it on float64, overflowing to inf."""
+    with np.errstate(all="ignore"):
+        try:
+            return energy(np.asarray(z, dtype=float))
+        except dynamics._NON_FINITE as err:
+            raise IntegrationError("solution blew up", t) from err
+
+
+# states an integrator can hand over: finite, with signed zeros and values
+# where Python's ** and / raise but float64 gives inf or nan
+_STATES = st.lists(
+    st.one_of(
+        st.floats(-3.0, 3.0),
+        st.sampled_from([0.0, -0.0, 1e-170, -1e200, 1e200, 710.0, 1e308]),
+    ),
+    min_size=2 * N_RANDOM,
+    max_size=2 * N_RANDOM,
+)
+
+
+def _tree(text):
+    return ex.parse(text, N_RANDOM)
+
+
+class TestObserver:
+    @settings(
+        max_examples=400, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(RANDOM_TREES, _STATES)
+    @example(_tree("x1^3 + y2/2"), [1e200, 0.0, 0.0, 1.0])  # ** overflows: inf
+    @example(_tree("y1/x1 - x2"), [-0.0, 0.0, 1.0, 0.0])  # ZeroDivisionError: -inf
+    @example(_tree("x2/x1"), [0.0, 0.0, 0.0, 0.0])  # 0/0: nan
+    @example(_tree("exp(x1) + x2"), [710.0, 0.0, 0.0, 0.0])  # exp overflows: raises
+    @example(_tree("sin(x1*x1*x1) + y1"), [1e200, 0.0, 0.0, 0.0])  # sin(inf): raises
+    def test_energies_equal_the_float64_observer(self, h, z):
+        energy = ex.compile_scalar(h)  # what JetEvaluator.value calls
+        ts, states, es, observe = dynamics._make_observer(energy)
+        try:
+            want = _float64_energy(energy, z, 0.5)
+        except IntegrationError:
+            with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="t=0.5"):
+                observe(0.5, list(z))
+            assert es == []
+            return
+        with np.errstate(all="ignore"):
+            observe(0.5, list(z))
+        assert ts == [0.5] and states == [z]
+        # bytes, so the sign of a zero and of a nan count
+        assert np.array(es, dtype=float).tobytes() == np.array([want], dtype=float).tobytes()
+
+
+def _wrapped(states, n):
+    """Each sample's x wrapped by itself, as the observer did per sample."""
+    return np.array([np.concatenate((wrap_angles(z[:n]), z[n:])) for z in states])
+
+
+class TestTorusSamples:
+    # [DERIVED] xdot = y/q from y ~ 3 at q = 1/2 turns x1 several times
+    H = "y1^2/2 + y2^2/2 - cos(x1) - cos(x2)/2 + x1*y2/5"
+    Z0 = ((0.5, 1.0), (3.0, -2.5))  # x already in [0, 2 pi)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_integrate_wraps_as_per_sample(self, integrator):
+        kw = dict(integrator=integrator, step=1e-2, t_final=5.0, rel_tol=1e-9, abs_tol=1e-11)
+        plane = integrate(FlowSpec(ex.parse(self.H, 2), 2, 0.5, **kw), PhasePoint(*self.Z0))
+        torus = integrate(
+            FlowSpec(ex.parse(self.H, 2), 2, 0.5, space="torus", **kw),
+            PhasePoint(*self.Z0, space="torus"),
+        )
+        assert np.ptp(plane.zs[:, 0]) > 4 * math.pi
+        assert torus.ts.tobytes() == plane.ts.tobytes()
+        assert torus.energies.tobytes() == plane.energies.tobytes()
+        assert torus.zs.tobytes() == _wrapped(plane.zs, 2).tobytes()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_integrate_variational_wraps_as_per_sample(self, integrator):
+        kw = dict(integrator=integrator, step=1e-2, t_final=3.0, rel_tol=1e-9, abs_tol=1e-11)
+        plane = integrate_variational(
+            FlowSpec(ex.parse(self.H, 2), 2, 0.5, **kw), PhasePoint(*self.Z0)
+        )
+        torus = integrate_variational(
+            FlowSpec(ex.parse(self.H, 2), 2, 0.5, space="torus", **kw),
+            PhasePoint(*self.Z0, space="torus"),
+        )
+        assert np.ptp(plane.trajectory.zs[:, 0]) > 2 * math.pi
+        assert torus.jacobians.tobytes() == plane.jacobians.tobytes()
+        assert torus.trajectory.energies.tobytes() == plane.trajectory.energies.tobytes()
+        assert torus.trajectory.zs.tobytes() == _wrapped(plane.trajectory.zs, 2).tobytes()
 
 
 class TestCsv:

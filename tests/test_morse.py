@@ -6,12 +6,15 @@ the torus height function cos(x1) + cos(x2) has the textbook Betti numbers
 (1, 2, 1); homology helpers are checked on hand-built matrices.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from defham import expr as ex
+from defham import morse
+from defham.dynamics import IntegrationError, rkf45_path
 from defham.morse import (
     IndexCertificate,
     MorseComplex,
@@ -31,6 +34,7 @@ from defham.morse import (
     _lines_from,
     _newton,
     _newton_seeds,
+    _ShotResult,
     _System,
 )
 
@@ -349,6 +353,70 @@ class TestFloatKernels:
         assert _newton(system, np.array([100.0])) is None
         assert _reference_newton(system, np.array([100.0])) is None
         assert _newton(system, np.array([60.0])) is not None  # step 30 is accepted
+
+
+def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False):
+    """The shot with one state array per step and one system.distance (its
+    own displacement array and ddot) per target."""
+    opts = system.options
+    delta = opts.capture_radius
+    result = _ShotResult("timeout", None, np.full(len(targets), np.inf), [], [])
+
+    class _Stop(Exception):
+        pass
+
+    def observe(t, z):
+        result.last_state = z
+        state = np.array(z)
+        if keep_states:
+            result.ts.append(t)
+            result.states.append(state)
+        for idx, target in enumerate(targets):
+            dist = system.distance(state, target)
+            if dist < result.min_dist[idx]:
+                result.min_dist[idx] = dist
+            if dist < delta:
+                result.outcome = "captured"
+                result.target = idx
+                raise _Stop
+        if not system.in_box(z):
+            result.outcome = "escaped"
+            raise _Stop
+
+    try:
+        rkf45_path(system.rhs, start, opts.t_max, rel_tol, abs_tol, stride=1, observe=observe)
+    except _Stop:
+        pass
+    except IntegrationError:
+        result.outcome = "escaped"
+    return result
+
+
+def _shot_hash(start, shot):
+    digest = hashlib.sha256(np.asarray(start, dtype=float).tobytes())
+    digest.update(repr((shot.outcome, shot.target)).encode())
+    for values in (shot.min_dist, shot.last_state or [], shot.ts, shot.states):
+        digest.update(np.array(values, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+class TestShotObserver:
+    @pytest.mark.parametrize("name,make,q", [SYSTEMS[0], SYSTEMS[2]], ids=["circle q=1", "torus"])
+    def test_every_shot_equals_the_reference(self, monkeypatch, name, make, q):
+        # every shot of the complex (bisection, pair refinement), with the
+        # torus's three targets and its wrapped displacements
+        shoot, hashes = morse._shoot, []
+
+        def both(system, start, targets, rel_tol, abs_tol, keep_states=False):
+            got = shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+            want = _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+            hashes.append((_shot_hash(start, got), _shot_hash(start, want)))
+            return got
+
+        monkeypatch.setattr(morse, "_shoot", both)
+        build_complex(make(q))
+        assert len(hashes) >= 50
+        assert all(got == want for got, want in hashes)
 
 
 class TestHomologyHelpers:
