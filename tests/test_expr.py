@@ -64,12 +64,21 @@ class TestParsing:
         want = math.sin(0.5) + math.cos(0.25) + math.exp(0.125)
         assert got == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_trip_through_text(self, rng, n):
+        # [TRIVIAL] parse(to_text(e)) evaluates identically to e.
+        for _ in range(20):
+            e = random_polynomial_expr(rng, n)
+            e2 = ex.parse(ex.to_text(e), n)
+            z = random_point(rng, n)
+            assert ex.evaluate(e2, z) == pytest.approx(ex.evaluate(e, z), rel=1e-14, abs=1e-14)
+
     @settings(
         max_examples=300, deadline=None, derandomize=True, database=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(st.deferred(lambda: RANDOM_TREES), st.deferred(lambda: RANDOM_POINTS))
-    def test_round_trip_through_text(self, e, z):
+    def test_round_trip_through_text_of_raw_trees(self, e, z):
         # [TRIVIAL] parsing folds the unfolded constants of a raw tree
         # ("0 + x1" is read as x1), so the text of the parsed tree is the
         # fixed point; both trees take the same value wherever they evaluate
