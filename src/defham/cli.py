@@ -78,6 +78,17 @@ _BASE = {
     "kind": {"enum": ["simulate", "verify-flow", "classify", "bracket", "morse", "sweep"]},
     "name": {"type": "string"},
     "seed": {"type": "integer"},
+    "n": {"type": "integer", "minimum": 1},
+    "output": {"type": "string"},
+}
+
+# the properties simulate, verify-flow and sweep share: one flow of H
+_FLOW = {
+    "hamiltonian": {"type": "string"},
+    "z0": {"type": "array", "items": {"type": "number"}},
+    "space": {"enum": ["plane", "torus"]},
+    "integrator": _INTEGRATOR_SCHEMA,
+    "t_final": {"type": "number", "exclusiveMinimum": 0},
 }
 
 _KIND_SCHEMAS = {
@@ -85,15 +96,9 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
+            **_FLOW,
             "q": {"type": "number"},
-            "hamiltonian": {"type": "string"},
-            "z0": {"type": "array", "items": {"type": "number"}},
-            "space": {"enum": ["plane", "torus"]},
-            "integrator": _INTEGRATOR_SCHEMA,
-            "t_final": {"type": "number", "exclusiveMinimum": 0},
             "sample_stride": {"type": "integer", "minimum": 1},
-            "output": {"type": "string"},
             "checks": {"type": "array", "items": _check_schema("energy_drift")},
         },
         "required": ["kind", "n", "q", "hamiltonian", "z0", "t_final"],
@@ -103,17 +108,11 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
+            **_FLOW,
             "q": {"type": "number"},
-            "hamiltonian": {"type": "string"},
-            "z0": {"type": "array", "items": {"type": "number"}},
-            "space": {"enum": ["plane", "torus"]},
-            "integrator": _INTEGRATOR_SCHEMA,
-            "t_final": {"type": "number", "exclusiveMinimum": 0},
             "sample_stride": {"type": "integer", "minimum": 1},
             "mode": {"enum": ["symplectic", "conformal"]},
             "c": {"type": "number"},
-            "output": {"type": "string"},
             "checks": {
                 "type": "array",
                 "items": _check_schema("max_defect", "final_defect"),
@@ -127,7 +126,6 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
             "hamiltonian": {"type": "string"},
             "expect": {
                 "type": "object",
@@ -148,7 +146,6 @@ _KIND_SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
-            "output": {"type": "string"},
         },
         "required": ["kind", "n", "hamiltonian"],
         "additionalProperties": False,
@@ -157,7 +154,6 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
             "q_list": {"type": "array", "items": {"type": "number"}},
             "pairs": {"type": "integer", "minimum": 1},
             "points": {"type": "integer", "minimum": 1},
@@ -171,7 +167,6 @@ _KIND_SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
-            "output": {"type": "string"},
         },
         "required": ["kind", "n", "q_list", "pairs", "seed"],
         "additionalProperties": False,
@@ -180,7 +175,6 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
             "f": {"type": "string"},
             "w": {"type": "array", "items": {"type": "string"}},
             "g": {"type": "string"},
@@ -207,7 +201,6 @@ _KIND_SCHEMAS = {
             },
             "adiabatic_q_list": {"type": "array", "items": {"type": "number"}},
             "adiabatic_min_factor": {"type": "number"},
-            "output": {"type": "string"},
         },
         "required": ["kind", "n", "f", "w", "g"],
         "additionalProperties": False,
@@ -216,13 +209,8 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             **_BASE,
-            "n": {"type": "integer", "minimum": 1},
+            **_FLOW,
             "q_list": {"type": "array", "items": {"type": "number"}},
-            "hamiltonian": {"type": "string"},
-            "z0": {"type": "array", "items": {"type": "number"}},
-            "space": {"enum": ["plane", "torus"]},
-            "integrator": _INTEGRATOR_SCHEMA,
-            "t_final": {"type": "number", "exclusiveMinimum": 0},
             "observables": {
                 "type": "array",
                 "items": {
@@ -248,7 +236,6 @@ _KIND_SCHEMAS = {
                     "additionalProperties": False,
                 },
             },
-            "output": {"type": "string"},
         },
         "required": ["kind", "n", "q_list", "hamiltonian", "z0", "t_final", "observables"],
         "additionalProperties": False,
@@ -260,8 +247,11 @@ def _pointer(error) -> str:
     return "/" + "/".join(str(p) for p in error.absolute_path)
 
 
-def validate_scenario(doc) -> None:
-    """Raise ScenarioError (with JSON-pointer paths) if the scenario is bad."""
+def validate_scenario(doc) -> dict:
+    """Check a scenario and return the inputs ``run`` executes: the trees of
+    ``hamiltonian``, ``f``, ``w`` and ``g``, the ``poly`` of a classify
+    Hamiltonian, and the ``specs`` and ``options`` of a morse run.  Raises
+    ScenarioError (with JSON-pointer paths) if the scenario is bad."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = doc.get("kind")
@@ -298,7 +288,7 @@ def validate_scenario(doc) -> None:
         parsed["w"] = [_parse_or_raise(text, n, f"/w/{i}") for i, text in enumerate(doc["w"])]
     if kind == "classify":
         try:
-            poly_from_expression(parsed["hamiltonian"])
+            parsed["poly"] = poly_from_expression(parsed["hamiltonian"])
         except ValueError as err:
             raise ScenarioError(f"/hamiltonian: {err}") from None
     if "z0" in doc and len(doc["z0"]) != 2 * n:
@@ -306,38 +296,51 @@ def validate_scenario(doc) -> None:
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
         raise ScenarioError("/c: conformal mode requires the rate c")
     if kind == "morse":
-        _validate_morse(doc, parsed["f"], parsed["w"], parsed["g"])
+        parsed["specs"], parsed["options"] = _validate_morse(
+            doc, parsed["f"], parsed["w"], parsed["g"]
+        )
     if kind == "sweep" and "fibre_volume_ratio" not in doc["observables"]:
         for i, check in enumerate(doc.get("checks", [])):
             if check["type"] == "fibre_volume_power":
                 raise ScenarioError(
                     f"/checks/{i}: fibre_volume_power needs the fibre_volume_ratio observable"
                 )
+    return parsed
 
 
-def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node) -> None:
-    """Build the MorseSpec of every q a run uses, and check the box against
-    its working dimension ``MorseSpec.dim``."""
-    n = doc["n"]
-    space = doc.get("space", "plane")
+def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node):
+    """Check the MorseSpec of every q the scenario names and the box against
+    the working dimension ``MorseSpec.dim``.  Returns the specs of the
+    complexes a run builds (one per ``q_list`` entry, else ``q``, else
+    q = 1) and the MorseOptions."""
+    n, space = doc["n"], doc.get("space", "plane")
     try:
-        spec = morse.MorseSpec(n, f, w, g, space=space)
+        base = morse.MorseSpec(n, f, w, g, space=space)
     except morse.MorseSpecError as err:
         raise ScenarioError(str(err)) from None
     qs = [("/q", doc["q"])] if "q" in doc else []
     for key in ("q_list", "adiabatic_q_list"):
         qs += [(f"/{key}/{i}", q) for i, q in enumerate(doc.get(key, []))]
+    specs = {}
     for where, q in qs:
         try:
-            morse.MorseSpec(n, f, w, g, q=q, space=space)
+            specs[where] = morse.MorseSpec(n, f, w, g, q=q, space=space)
         except morse.MorseSpecError as err:
             raise ScenarioError(f"{where}: {err}") from None
-    if "adiabatic_q_list" in doc and spec.base_only:
+    if "adiabatic_q_list" in doc and base.base_only:
         raise ScenarioError("/adiabatic_q_list: adiabatic deviation needs a nontrivial constraint")
+    options = morse.MorseOptions(
+        **{key: doc[key] for key in ("grid", "mesh", "shoot_radius", "capture_radius", "t_max")
+           if key in doc},
+        search_box=tuple(map(tuple, doc["box"])) if "box" in doc else None,
+    )
     try:
-        _morse_options(doc).box_for(spec.dim)
+        options.box_for(base.dim)
     except morse.MorseSpecError as err:
         raise ScenarioError(f"/box: {err}") from None
+    if "q_list" in doc:
+        return [specs[f"/q_list/{i}"] for i in range(len(doc["q_list"]))], options
+    return [specs.get("/q", base)], options
 
 
 def _parse_or_raise(text: str, n: int, where: str) -> ex.Node:
@@ -379,12 +382,7 @@ class Checks:
         self.records = []
 
     def add(self, name: str, measured, threshold, comparator: str = "le") -> None:
-        if comparator == "le":
-            ok = measured <= threshold
-        elif comparator == "ge":
-            ok = measured >= threshold
-        else:
-            raise ScenarioError(f"unknown comparator {comparator!r}")
+        ok = measured <= threshold if comparator == "le" else measured >= threshold
         self.records.append(
             {"name": name, "measured": measured, "threshold": threshold, "pass": bool(ok)}
         )
@@ -399,12 +397,12 @@ class Checks:
         return all(r["pass"] for r in self.records)
 
 
-def _flow_spec(doc) -> dyn.FlowSpec:
+def _flow_spec(doc, hamiltonian: ex.Node, q: float) -> dyn.FlowSpec:
     integ = doc.get("integrator", {"type": "rk4"})
     return dyn.FlowSpec(
-        hamiltonian=ex.parse(doc["hamiltonian"], doc["n"]),
+        hamiltonian=hamiltonian,
         n=doc["n"],
-        q=doc["q"],
+        q=q,
         space=doc.get("space", "plane"),
         integrator=integ["type"],
         step=integ.get("step", 1e-3),
@@ -422,11 +420,12 @@ def _z0(doc) -> PhasePoint:
 
 
 # ---------------------------------------------------------------------------
-# Kind runners.  Each returns (checks, artifacts: dict[str, str]).
+# Kind runners.  Each takes the scenario and what validate_scenario parsed
+# from it, and returns (checks, artifacts: dict[str, str]).
 
 
-def _run_simulate(doc):
-    spec = _flow_spec(doc)
+def _run_simulate(doc, parsed):
+    spec = _flow_spec(doc, parsed["hamiltonian"], doc["q"])
     trajectory = dyn.integrate(spec, _z0(doc))
     checks = Checks()
     for check in doc.get("checks", []):
@@ -437,8 +436,8 @@ def _run_simulate(doc):
     return checks, {out: dyn.trajectory_csv(trajectory)}
 
 
-def _run_verify_flow(doc):
-    spec = _flow_spec(doc)
+def _run_verify_flow(doc, parsed):
+    spec = _flow_spec(doc, parsed["hamiltonian"], doc["q"])
     vf = dyn.integrate_variational(spec, _z0(doc))
     mode = doc["mode"]
     defects = dyn.pullback_defect(vf, mode=mode, c=doc.get("c"))
@@ -453,9 +452,8 @@ def _run_verify_flow(doc):
     return checks, {doc.get("output", "pullback_defect.json"): artifact}
 
 
-def _run_classify(doc):
-    h = poly_from_expression(ex.parse(doc["hamiltonian"], doc["n"]))
-    result = forms.classify_hamiltonian(h)
+def _run_classify(doc, parsed):
+    result = forms.classify_hamiltonian(parsed["poly"])
     ratio = result.conformal_ratio
     payload = {
         "simple": result.simple,
@@ -488,7 +486,7 @@ def _random_polynomial(rng, n: int, degree: int) -> ex.Node:
     return out
 
 
-def _run_bracket(doc):
+def _run_bracket(doc, parsed):
     rng = np.random.default_rng(doc["seed"])
     n = doc["n"]
     degree = doc.get("degree", 3)
@@ -532,40 +530,11 @@ def _run_bracket(doc):
     return checks, {doc.get("output", "bracket_report.json"): _json_dumps(reports)}
 
 
-def _morse_options(doc) -> morse.MorseOptions:
-    kwargs = {}
-    if "box" in doc:
-        kwargs["search_box"] = tuple(tuple(b) for b in doc["box"])
-    for src, dst in [
-        ("grid", "grid"),
-        ("mesh", "mesh"),
-        ("shoot_radius", "shoot_radius"),
-        ("capture_radius", "capture_radius"),
-        ("t_max", "t_max"),
-    ]:
-        if src in doc:
-            kwargs[dst] = doc[src]
-    return morse.MorseOptions(**kwargs)
-
-
-def _run_morse(doc):
-    n = doc["n"]
-    spec = morse.MorseSpec(
-        n=n,
-        f=ex.parse(doc["f"], n),
-        w=[ex.parse(t, n) for t in doc["w"]],
-        g=ex.parse(doc["g"], n),
-        q=doc.get("q", doc.get("q_list", [1.0])[0]),
-        space=doc.get("space", "plane"),
-    )
-    options = _morse_options(doc)
+def _run_morse(doc, parsed):
+    options = parsed["options"]
     checks = Checks()
 
-    q_values = doc.get("q_list", [spec.q])
-    complexes = []
-    for q in q_values:
-        spec_q = morse.MorseSpec(n, spec.f, spec.w, spec.g, q=q, space=spec.space)
-        complexes.append(morse.build_complex(spec_q, options))
+    complexes = [morse.build_complex(spec, options) for spec in parsed["specs"]]
     main_complex = complexes[0]
     ranks = morse.homology_ranks(main_complex)
 
@@ -579,14 +548,16 @@ def _run_morse(doc):
     if "expect_ranks" in doc:
         wanted = {int(k): v for k, v in doc["expect_ranks"].items()}
         checks.add_bool("homology_ranks", {m: r for m, r in ranks.items() if r} == {m: r for m, r in wanted.items() if r})
-    for other, q in zip(complexes[1:], q_values[1:]):
+    for other, q in zip(complexes[1:], doc.get("q_list", [])[1:]):
         checks.add_bool(
             f"ranks_consistent_q={q}", morse.homology_ranks(other) == ranks
         )
 
     adiabatic = None
     if "adiabatic_q_list" in doc:
-        adiabatic = morse.adiabatic_deviation(spec, doc["adiabatic_q_list"], options=options)
+        adiabatic = morse.adiabatic_deviation(
+            parsed["specs"][0], doc["adiabatic_q_list"], options=options
+        )
         deviations = [d for _, d in adiabatic]
         decreasing = all(a > b for a, b in zip(deviations, deviations[1:]))
         checks.add_bool("adiabatic_decreasing", decreasing)
@@ -602,23 +573,20 @@ def _run_morse(doc):
     return checks, {doc.get("output", "morse_report.json"): _json_dumps(report)}
 
 
-def _sweep_row(doc, q: float, regime_tols: set):
+def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
     """One row of the sweep at q, with the regime violations of its flow
     for each tolerance in ``regime_tols`` (a row whose flow failed counts
     as one violation)."""
     row: dict = {"q": q, "error": "", "violations": dict.fromkeys(regime_tols, 1)}
     try:
-        n = doc["n"]
-        local = dict(doc)
-        local["q"] = q
+        spec = _flow_spec(doc, hamiltonian, q)
         wants_flow = regime_tols or any(
             obs in doc["observables"]
             for obs in ("final_H", "delta_H", "delta_H_sign", "symplectic_defect")
         )
         trajectory = None
         if wants_flow:
-            spec = _flow_spec(local)
-            trajectory = dyn.integrate(spec, _z0(local))
+            trajectory = dyn.integrate(spec, _z0(doc))
             for tol in regime_tols:
                 row["violations"][tol] = _regime_violations(spec, trajectory, tol)
         for obs in doc["observables"]:
@@ -630,23 +598,22 @@ def _sweep_row(doc, q: float, regime_tols: set):
                 delta = float(trajectory.energies[-1] - trajectory.energies[0])
                 row[obs] = "0" if abs(delta) <= 1e-8 else ("+" if delta > 0 else "-")
             elif obs == "fibre_volume_ratio":
-                fam = MetricFamily(n=n, q=q)
-                row[obs] = fibre_volume_ratio(fam)
+                row[obs] = fibre_volume_ratio(MetricFamily(n=doc["n"], q=q))
             elif obs == "symplectic_defect":
-                vf = dyn.integrate_variational(_flow_spec(local), _z0(local))
+                vf = dyn.integrate_variational(spec, _z0(doc))
                 row[obs] = max(d for _, d in dyn.pullback_defect(vf))
     except Exception as err:  # per-q failure is recorded, sweep continues
         row["error"] = str(err)
     return row
 
 
-def _run_sweep(doc):
+def _run_sweep(doc, parsed):
     regime_tols = {
         check.get("tol", 1e-8)
         for check in doc.get("checks", [])
         if check["type"] == "regime_trichotomy"
     }
-    rows = [_sweep_row(doc, q, regime_tols) for q in doc["q_list"]]
+    rows = [_sweep_row(doc, parsed["hamiltonian"], q, regime_tols) for q in doc["q_list"]]
     rows.sort(key=lambda r: r["q"])
 
     columns = ["q", *doc["observables"], "error"]
@@ -734,23 +701,23 @@ def _finite(parse):
     return number
 
 
-def _load_scenario(path: Path) -> dict:
-    """Read and validate a scenario file for ``run`` and ``validate``; Python's
-    json reads NaN, Infinity and 1e999, which raise ScenarioError here."""
+def _load_scenario(path: Path) -> tuple[dict, dict]:
+    """Read and validate a scenario file for ``run`` and ``validate``: the
+    document and what validate_scenario parsed from it.  Python's json reads
+    NaN, Infinity and 1e999, which raise ScenarioError here."""
     try:
         doc = json.loads(path.read_text(), parse_float=_finite(float),
                          parse_int=_finite(int), parse_constant=_finite(float))
     except (OSError, json.JSONDecodeError) as err:
         raise ScenarioError(f"cannot read scenario: {err}") from None
-    validate_scenario(doc)
-    return doc
+    return doc, validate_scenario(doc)
 
 
 def run_scenario(scenario_path, out_dir=None) -> int:
     """Execute a scenario file; returns the process exit code."""
     path = Path(scenario_path)
     try:
-        doc = _load_scenario(path)
+        doc, parsed = _load_scenario(path)
     except ScenarioError as err:
         print(f"error: invalid scenario: {err}", file=sys.stderr)
         return EXIT_INVALID
@@ -758,12 +725,11 @@ def run_scenario(scenario_path, out_dir=None) -> int:
     out = Path(out_dir) if out_dir else path.parent
     started = time.perf_counter()
     try:
-        checks, artifacts = _RUNNERS[doc["kind"]](doc)
-    except (morse.MorseSpecError, ScenarioError, ex.ExprError, ValueError) as err:
-        print(f"error: invalid scenario: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except (dyn.IntegrationError, morse.MorseConditionError, NotImplementedError) as err:
-        # the computation of a valid scenario failed: report it, do not crash
+        checks, artifacts = _RUNNERS[doc["kind"]](doc, parsed)
+    except (dyn.IntegrationError, morse.MorseConditionError, NotImplementedError,
+            ArithmeticError, ValueError) as err:
+        # validity was decided above, so this is the computation failing:
+        # report it, do not crash
         message = f"{type(err).__name__}: {err}"
         print(f"error: pipeline failed: {message}", file=sys.stderr)
         checks, artifacts = Checks(), {}

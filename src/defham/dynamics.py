@@ -332,7 +332,7 @@ def _fehlberg_trial(d: int) -> Callable:
     return namespace["trial"]
 
 
-def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe, h0=None):
+def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     """Adaptive Fehlberg 4(5) integration of zdot = rhs(z) over [0, t_final].
 
     The state is a list of Python floats: ``rhs`` maps it to a sequence of
@@ -348,7 +348,7 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe, h0=None):
     z = [float(v) for v in z0]
     trial = _fehlberg_trial(len(z))
     t = 0.0
-    h = h0 if h0 is not None else min(1e-2, t_final)
+    h = min(1e-2, t_final)
     observe(t, z)
     accepted = 0
     while t < t_final:

@@ -244,6 +244,8 @@ def powi(base: Node, exponent: int) -> Node:
     if exponent == 1:
         return base
     if isinstance(base, Const):
+        if base.value == 0 and exponent < 0:
+            raise ExprError("constant zero raised to a negative power")
         return Const(base.n, base.value ** exponent)
     return Pow(base.n, base, exponent)
 

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v` for the per-criterion lines;
 the printed summary also appears with `-s`.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -44,6 +45,19 @@ GOLDEN = [
     else pytest.param(p, id=p.stem)
     for p in sorted(SCENARIOS.glob("*.json"))
 ]
+# `python tools/golden_sha256.py` output: "<sha256>  <scenario>/<file>" lines
+GOLDEN_SHA256 = Path(__file__).resolve().parent / "golden_sha256.txt"
+
+
+def _pinned_sha256(stem: str) -> dict:
+    """file name -> pinned sha256 of each file the golden scenario writes."""
+    pinned = {}
+    for line in GOLDEN_SHA256.read_text().splitlines():
+        digest, path = line.split()
+        scenario, name = path.split("/")
+        if scenario == stem:
+            pinned[name] = digest
+    return pinned
 
 
 def _report(number, title):
@@ -228,11 +242,14 @@ def test_criterion_10_metric_geometry():
 
 @pytest.mark.parametrize("scenario", GOLDEN)
 def test_criterion_11_determinism(tmp_path, scenario):
-    # Repeated runs of every golden scenario are byte-identical.
+    # Repeated runs of every golden scenario are byte-identical, and the
+    # first run writes the pinned golden bytes.
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_scenario(scenario, out1) == EXIT_PASS
     assert run_scenario(scenario, out2) == EXIT_PASS
     names = sorted(p.name for p in out1.iterdir())
+    digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest() for name in names}
+    assert digests == _pinned_sha256(scenario.stem)
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

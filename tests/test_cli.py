@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from defham import dynamics as dyn
 from defham import expr as ex
+from defham import morse
 from defham.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INVALID,
@@ -254,8 +255,11 @@ class TestRun:
              "/checks/0/measure"),
             ("pendulum_symplectic",
              {"checks": [{"name": "c", "measure": "bogus", "threshold": 1}]}, "/checks/0/measure"),
+            ("oscillator_energy", {"hamiltonian": "x1^2 + 0^-1"},
+             "/hamiltonian: constant zero raised to a negative power"),
         ],
-        ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure"],
+        ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
+             "simulate_zero_power"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
@@ -355,7 +359,7 @@ class TestSweepChecks:
         for q in doc["q_list"]:
             if q == 1:
                 continue
-            spec = _flow_spec(dict(doc, q=q))
+            spec = _flow_spec(doc, ex.parse(doc["hamiltonian"], doc["n"]), q)
             trajectory = dyn.integrate(spec, _z0(doc))
             violations, coupled = _reference_regime_violations(spec, trajectory, tol)
             assert coupled > 1000  # x1 y1 > 0 on part of each turn
@@ -447,6 +451,14 @@ class TestPipelineFailures:
                  **BLOW_UP, "hamiltonian": "y1*x1*x1 + sin(x1*x1*x1)"},
                 "IntegrationError: solution blew up at t=1.002",
             ),
+            (
+                # the target e^{ct} of the conformal defect overflows past t = 0.71
+                {"kind": "verify-flow", "name": "conformal overflow", "n": 1, "q": 0.5,
+                 "hamiltonian": "x1*y1", "z0": [1.0, 1.0], "t_final": 1.0,
+                 "mode": "conformal", "c": 1000.0,
+                 "checks": [{"name": "d", "measure": "max_defect", "threshold": 1e-6}]},
+                "OverflowError: math range error",
+            ),
         ],
     )
     def test_failure_is_reported_and_exits_one(self, tmp_path, capsys, doc, message):
@@ -479,6 +491,28 @@ class TestPipelineFailures:
         path = write_doc(tmp_path, doc)
         assert run_scenario(path, tmp_path) == code
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+class TestParseOnce:
+    def test_run_parses_each_expression_of_the_scenario_once(self, tmp_path, monkeypatch):
+        # validate_scenario parses each expression field; every q of a sweep
+        # and every complex of a morse run execute those trees.  The complexes
+        # are stubbed empty: what is counted happens before any shooting.
+        texts, qs = [], []
+        parse = ex.parse
+        monkeypatch.setattr(ex, "parse", lambda text, n: texts.append(text) or parse(text, n))
+        monkeypatch.setattr(
+            morse, "build_complex",
+            lambda spec, options: qs.append(spec.q) or morse.MorseComplex({}, {}, {}),
+        )
+        sweep = json.loads((SCENARIOS / "regime_trichotomy.json").read_text())
+        assert run_scenario(SCENARIOS / "regime_trichotomy.json", tmp_path / "a") == EXIT_PASS
+        assert texts == [sweep["hamiltonian"]]
+        texts.clear()
+        circle = json.loads((SCENARIOS / "morse_s1.json").read_text())
+        run_scenario(SCENARIOS / "morse_s1.json", tmp_path / "b")
+        assert sorted(texts) == sorted([circle["f"], *circle["w"], circle["g"]])
+        assert qs == circle["q_list"]
 
 
 class TestDeterminism:

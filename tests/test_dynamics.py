@@ -525,7 +525,7 @@ class TestRK4Kernel:
             "t_final": 0.5, "integrator": {"type": "rk4", "step": 0.01},
             "observables": ["delta_H"], "checks": [{"type": "regime_trichotomy"}],
         }
-        checks, _ = _run_sweep(doc)
+        checks, _ = _run_sweep(doc, {"hamiltonian": ex.parse(OSC, 1)})
         assert checks.records == [
             {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
         ]

@@ -354,7 +354,7 @@ class TestSharedCompile:
         counts = []
         for _ in range(2):
             before = len(calls)
-            _run_bracket(doc)
+            _run_bracket(doc, {})
             counts.append(len(calls) - before)
         assert counts[0] == counts[1] > 0
 
@@ -422,6 +422,8 @@ def ref_powi(base, exponent):
     if exponent == 1:
         return base
     if isinstance(base, ex.Const):
+        if base.value == 0 and exponent < 0:
+            raise ex.ExprError("constant zero raised to a negative power")
         return ex.Const(base.n, base.value ** exponent)
     return ex.Pow(base.n, base, exponent)
 

@@ -13,6 +13,12 @@ checkouts and compare:
     python tools/golden_sha256.py > before.txt   # parent checkout
     python tools/golden_sha256.py > after.txt    # changed checkout
     diff before.txt after.txt
+
+``tests/golden_sha256.txt`` pins this output, and the determinism test of
+each golden scenario compares its run with it.  A change that moves the
+golden bytes on purpose regenerates the pin:
+
+    python tools/golden_sha256.py > tests/golden_sha256.txt
 """
 
 from __future__ import annotations
