@@ -312,7 +312,7 @@ def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node):
     """Check the MorseSpec of every q the scenario names and the box against
     the working dimension ``MorseSpec.dim``.  Returns the specs of the
     complexes a run builds (one per ``q_list`` entry, else ``q``, else
-    q = 1) and the MorseOptions."""
+    q = 1; a scenario may not set both) and the MorseOptions."""
     n, space = doc["n"], doc.get("space", "plane")
     try:
         base = morse.MorseSpec(n, f, w, g, space=space)
@@ -327,6 +327,8 @@ def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node):
             specs[where] = morse.MorseSpec(n, f, w, g, q=q, space=space)
         except morse.MorseSpecError as err:
             raise ScenarioError(f"{where}: {err}") from None
+    if "q" in doc and "q_list" in doc:
+        raise ScenarioError("/q: a run builds one complex per q_list entry; set q or q_list")
     if "adiabatic_q_list" in doc and base.base_only:
         raise ScenarioError("/adiabatic_q_list: adiabatic deviation needs a nontrivial constraint")
     options = morse.MorseOptions(
@@ -651,7 +653,7 @@ def _regime_rates(spec: dyn.FlowSpec):
     namespace = {"gradient": ex.JetEvaluator(spec.hamiltonian).gradient, "qinv": 1.0 / spec.q}
     exec(f"def rates(z):\n    {', '.join(g)}, = gradient(z)\n    return {coupling}, {dhdt}\n",
          namespace)
-    return namespace["rates"]
+    return namespace.pop("rates")
 
 
 def _regime_violations(spec: dyn.FlowSpec, trajectory: dyn.Trajectory, tol: float) -> int:

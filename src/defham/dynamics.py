@@ -9,8 +9,8 @@ the phase module.  Flows are integrated with a fixed-step classical RK4 or
 an adaptive Fehlberg RKF45; the Jacobian of the flow map is co-integrated
 from the exact symbolic Hessian of H.
 
-Both integrators are straight-line kernels generated once per state length
-(_rk4_loop, _fehlberg_trial) on lists of Python floats.  A flow's rhs is
+Both integrators are straight-line loops generated once per state length
+(_rk4_loop, _rkf45_loop) on lists of Python floats.  A flow's rhs is
 the field compiled once per (H, q) (HamiltonianField.compiled_field);
 field_list stays the pointwise form for single evaluations.
 """
@@ -218,18 +218,18 @@ def _rk4_loop(d: int) -> Callable:
     namespace = {"__name__": __name__, "isfinite": math.isfinite, "non_finite": _NON_FINITE,
                  "IntegrationError": IntegrationError}
     exec("\n".join(lines) + "\n", namespace)
-    return namespace["loop"]
+    return namespace.pop("loop")
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
     """Classical RK4 with a fixed step of about ``step`` over [0, t_final].
 
     The state is a list of Python floats.  The steps run in a straight-line
-    loop generated once per state length (_rk4_loop), as rkf45_path's trial
-    step is (_fehlberg_trial), and round exactly as the array form on
-    float64 does.  A stage that raises OverflowError, ZeroDivisionError or
-    ValueError (where float64 gives inf or nan), or a non-finite step,
-    raises IntegrationError.  Flows pass HamiltonianField.compiled_field.
+    loop generated once per state length (_rk4_loop, like _rkf45_loop) and
+    round exactly as the array form on float64 does.  A stage that raises
+    OverflowError, ZeroDivisionError or ValueError (where float64 gives inf
+    or nan), or a non-finite step, raises IntegrationError.  Flows pass
+    HamiltonianField.compiled_field.
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
@@ -278,22 +278,26 @@ def _numpy_sum_source(terms: list[str]) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _fehlberg_trial(d: int) -> Callable:
-    """Compiled trial step ``(rhs, z, h, rel_tol, abs_tol) -> (z5, z4, err)``.
+def _rkf45_loop(d: int) -> Callable:
+    """Compiled RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``.
 
-    Straight-line code for states of length d.  Each component is computed
-    in the order of the array form of the scheme,
+    Straight-line code for states of length d on unpacked components z_i.
+    Each component is computed in the order of the array form of the scheme,
 
         y = z + h * sum(c * k for c, k in zip(row, ks))
         err = sqrt(mean(((z5 - z4) / (abs_tol + rel_tol * max(|z|, |z5|)))**2)),
 
     so on Python floats it rounds exactly as float64 arrays do: stage sums
     run left to right from ``0.0 + c0*k0`` (zero coefficients included) and
-    the mean squares are summed in numpy's order.  A stage whose rhs raises
-    OverflowError, ZeroDivisionError or ValueError is set to nan, as inf or
-    nan would spread through the array form.
+    the mean squares are summed in numpy's order; ``min`` and ``max`` are
+    comparisons that pick the same operand, nan included.  A stage whose
+    rhs raises OverflowError, ZeroDivisionError or ValueError is set to nan,
+    as inf or nan would spread through the array form.  The first stage of
+    an attempt gets the state list itself, which a rejected attempt reuses;
+    an accepted step makes a new list.
     """
     comps = range(d)
+    zs = ", ".join(f"z_{i}" for i in comps)
 
     def combination(row, i):
         total = "0.0"
@@ -302,34 +306,56 @@ def _fehlberg_trial(d: int) -> Callable:
         return f"z_{i} + h * {total}"
 
     def stage(j, arg):
-        ks = ", ".join(f"k{j}_{i}" for i in comps)
+        ks = zs.replace("z_", f"k{j}_")
         return [
-            "    try:",
-            f"        {ks}, = rhs({arg})",
-            "    except non_finite:",
-            f"        {ks.replace(', ', ' = ')} = nan",
+            "        try:",
+            f"            {ks}, = rhs({arg})",
+            "        except non_finite:",
+            f"            {ks.replace(', ', ' = ')} = nan",
         ]
 
-    lines = ["def trial(rhs, z, h, rel_tol, abs_tol):"]
-    lines.append(f"    {', '.join(f'z_{i}' for i in comps)}, = z")
+    lines = [
+        "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe):",
+        f"    {zs}, = z",
+        "    t, accepted = 0.0, 0",
+        "    while t < t_final:",
+        "        r = t_final - t",
+        "        h = r if r < h else h",
+        "        r = abs(t)",
+        "        if h < 1e-14 * (r if r > 1.0 else 1.0):",
+        '            raise IntegrationError("step size underflow (stiff blow-up)", t)',
+    ]
     lines += stage(0, "z")
     for j, row in enumerate(_RKF_A[1:], start=1):
         lines += stage(j, "[" + ", ".join(combination(row, i) for i in comps) + "]")
     for name, row in (("y", _RKF_B5), ("w", _RKF_B4)):
-        lines += [f"    {name}_{i} = {combination(row, i)}" for i in comps]
+        lines += [f"        {name}_{i} = {combination(row, i)}" for i in comps]
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
-        lines.append(f"    a = abs(z_{i})")
-        lines.append(f"    b = abs(y_{i})")
-        lines.append(f"    e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a if a >= b else b))")
+        lines += [f"        a = abs(z_{i})", f"        b = abs(y_{i})",
+                  f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a if a >= b else b))"]
     squares = _numpy_sum_source([f"e_{i} * e_{i}" for i in comps])
-    lines.append(f"    err = sqrt({squares} / {d})")
-    lines.append(
-        f"    return [{', '.join(f'y_{i}' for i in comps)}], "
-        f"[{', '.join(f'w_{i}' for i in comps)}], err"
-    )
-    namespace = {"nan": math.nan, "sqrt": math.sqrt, "non_finite": _NON_FINITE}
+    lines += [
+        f"        err = sqrt({squares} / {d})",
+        # a non-finite y or w makes err nan or inf, so err <= 1 implies finite
+        "        if err <= 1.0:",
+        "            t += h",
+        f"            {zs}, = z = [{zs.replace('z_', 'y_')}]",
+        "            accepted += 1",
+        "            if accepted % stride == 0 or t >= t_final:",
+        "                observe(t, z)",
+        f"        elif not ({' and '.join(f'isfinite({v}_{i})' for v in 'yw' for i in comps)}):",
+        "            h *= 0.25",
+        "            continue",
+        "        f = 0.9 * (err ** -0.2) if err > 0 else 5.0",
+        "        f = f if f > 0.2 else 0.2",
+        "        h *= f if f < 5.0 else 5.0",
+        "    return z",
+    ]
+    namespace = {"__name__": __name__, "nan": math.nan, "sqrt": math.sqrt,
+                 "isfinite": math.isfinite, "non_finite": _NON_FINITE,
+                 "IntegrationError": IntegrationError}
     exec("\n".join(lines) + "\n", namespace)
-    return namespace["trial"]
+    return namespace.pop("loop")
 
 
 def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
@@ -338,7 +364,7 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     The state is a list of Python floats: ``rhs`` maps it to a sequence of
     floats, and ``observe(t, z)`` receives it at t = 0, after every
     ``stride``-th accepted step and at the end.  The path equals that of
-    the same scheme on float64 arrays bit for bit (see _fehlberg_trial).
+    the same scheme on float64 arrays bit for bit (see _rkf45_loop).
 
     Where float64 arithmetic gives inf or nan, Python floats may raise
     OverflowError, ZeroDivisionError or ValueError.  Such a stage counts as
@@ -346,29 +372,9 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     in IntegrationError once the step underflows.
     """
     z = [float(v) for v in z0]
-    trial = _fehlberg_trial(len(z))
-    t = 0.0
-    h = min(1e-2, t_final)
-    observe(t, z)
-    accepted = 0
-    while t < t_final:
-        h = min(h, t_final - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow (stiff blow-up)", t)
-        z5, z4, err = trial(rhs, z, h, rel_tol, abs_tol)
-        # a non-finite z5 or z4 makes err nan or inf, so err <= 1 implies finite
-        if err <= 1.0:
-            t += h
-            z = z5
-            accepted += 1
-            if accepted % stride == 0 or t >= t_final:
-                observe(t, z)
-        elif not all(map(math.isfinite, z5 + z4)):
-            h *= 0.25
-            continue
-        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return z
+    observe(0.0, z)
+    loop = _rkf45_loop(len(z))
+    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, observe)
 
 
 def _make_observer(energy: Callable):

@@ -591,7 +591,8 @@ def _eval(e: Node, z: Sequence[float], memo: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python functions for tight numeric loops.
+# Compilation to plain Python functions for tight numeric loops; each is popped
+# from its exec namespace, so no reference cycle keeps it (and what it reaches).
 
 
 def _codegen(e: Node) -> str:
@@ -628,7 +629,7 @@ def compile_scalar(e: Node) -> Callable[[Sequence[float]], float]:
     source = f"def _f(z):\n    return {_codegen(e)}\n"
     ns = dict(_NAMESPACE)
     exec(source, ns)
-    return ns["_f"]
+    return ns.pop("_f")
 
 
 def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
@@ -636,7 +637,7 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
     source = f"def _f(z):\n    return ({body},)\n"
     ns = dict(_NAMESPACE)
     exec(source, ns)
-    return ns["_f"]
+    return ns.pop("_f")
 
 
 def compile_scaled(
@@ -647,7 +648,7 @@ def compile_scaled(
     body = ", ".join(f"{c!r} * {_codegen(e)}" for c, e in terms)
     ns = dict(_NAMESPACE, inf=math.inf, __name__=module)
     exec(f"def _f(z):\n    return [{body}]\n", ns)
-    return ns["_f"]
+    return ns.pop("_f")
 
 
 def _variable_list(n: int) -> list[tuple[str, int]]:

@@ -21,13 +21,13 @@ them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -237,7 +237,6 @@ class _System:
         self.scales = np.ones(self.dim)
         self.scales[n:] = 1.0 / spec.q
         self.sqrt_scales = np.sqrt(self.scales)
-        self._neg_scales = (-self.scales).tolist()
         self.box = options.box_for(self.dim)
         # (axis, lo, hi) of every coordinate the box bounds; the angles
         # x1..xn of the torus are compact
@@ -257,10 +256,18 @@ class _System:
     def hessian(self, u: np.ndarray) -> np.ndarray:
         return self.jet.hessian(u)[: self.dim, : self.dim]
 
-    def rhs(self, u: list) -> list:
-        """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats."""
-        # map stops at self.dim, past which a base-only gradient holds only zeros
-        return list(map(operator.mul, self._neg_scales, self.jet.gradient(u)))
+    @functools.cached_property
+    def rhs(self) -> Callable[[list], list]:
+        """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats,
+        generated once: ``[c_i * g_i]`` over the first self.dim entries of
+        ``jet.gradient(u)`` (a base-only gradient holds zeros past them),
+        looked up per call so a wrapper patched on the class sees each one."""
+        g = [f"g{i}" for i in range(len(self.jet.derivatives))]
+        scaled = ", ".join(f"{c!r} * {v}" for c, v in zip((-self.scales).tolist(), g))
+        namespace = {"__name__": __name__, "jet": self.jet}
+        exec(f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n",
+             namespace)
+        return namespace.pop("rhs")
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""

@@ -231,8 +231,10 @@ class TestRun:
             ("adiabatic_s1", {"adiabatic_q_list": [1.0, 2.0]}, "/adiabatic_q_list/1: q must lie in"),
             ("adiabatic_s1", {"box": [[-2, 2], [-2, 2]]}, "/box: search box must have 4 entries"),
             ("morse_t2", {"adiabatic_q_list": [1.0, 0.5]}, "needs a nontrivial constraint"),
+            # q would be ignored: a run builds one complex per q_list entry
+            ("morse_s1", {"q": 0.9}, "/q: .*set q or q_list"),
         ],
-        ids=["q", "adiabatic_q", "box", "adiabatic_base_only"],
+        ids=["q", "adiabatic_q", "box", "adiabatic_base_only", "q_and_q_list"],
     )
     def test_morse_spec_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)

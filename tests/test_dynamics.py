@@ -414,6 +414,41 @@ class TestRKF45Kernel:
         assert raised and set(raised) == {error}
 
 
+class TestRKF45Attempts:
+    def test_rejections_counted_by_first_stage_identity(self):
+        # [DERIVED] the circle shooting flow at q = 1/4 at loose tolerances:
+        # 22 accepted steps and 10 rejected ones to t = 1.  Each attempt's
+        # first stage gets the state list itself, and a rejected attempt
+        # retries from that same list, so a tracer can count rejections by it.
+        system = _System(circle_spec(q=0.25), MorseOptions())
+        z0 = [0.03, 1.02, -0.5, 0.04]
+        calls = repeats = 0
+        first = None
+
+        def rhs(z):
+            nonlocal calls, repeats, first
+            if calls % 6 == 0:
+                if z is first:
+                    repeats += 1
+                first = z
+            calls += 1
+            return system.rhs(z)
+
+        ref_calls = 0
+
+        def ref_rhs(z):
+            nonlocal ref_calls
+            ref_calls += 1
+            return np.array(system.rhs(z.tolist()))
+
+        accepted = len(_reference_rkf45(ref_rhs, z0, 1.0, 1e-6, 1e-8)) - 1
+        path = []
+        rkf45_path(rhs, z0, 1.0, 1e-6, 1e-8, 1, lambda t, z: path.append(t))
+        assert len(path) - 1 == accepted
+        assert calls == ref_calls
+        assert repeats == ref_calls // 6 - accepted == 10
+
+
 # Classical RK4 on float64 arrays.  The kernel must reproduce its paths bit
 # for bit and blow up at the same step.
 def _rk4_step(rhs, z, h):

@@ -21,7 +21,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from defham import expr as ex
-from defham.cli import _run_bracket
+from defham.cli import _regime_rates, _run_bracket
+from defham.dynamics import FlowSpec
+from defham.morse import MorseOptions, MorseSpec, _System, build_hamiltonian
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
 
@@ -269,6 +271,38 @@ class TestSharedCompile:
             assert probe in ex._COMPILED_JETS
             del e, jet
             assert freed() is None
+            assert probe not in ex._COMPILED_JETS
+        finally:
+            gc.enable()
+
+    def test_regime_rates_free_their_jet_without_a_collection(self):
+        # a generated function is popped from its exec namespace, so no
+        # reference cycle keeps it, or the jet it reaches, alive
+        text = "x1*y1 - sin(y1)/7"
+        probe = ex.parse(text, 1)
+        gc.disable()
+        try:
+            spec = FlowSpec(ex.parse(text, 1), 1, 0.5)
+            rates = _regime_rates(spec)
+            rates([0.3, 0.4])
+            del spec
+            assert probe in ex._COMPILED_JETS
+            del rates
+            assert probe not in ex._COMPILED_JETS
+        finally:
+            gc.enable()
+
+    def test_morse_system_frees_its_jet_without_a_collection(self):
+        n = 2
+        spec = MorseSpec(n, ex.parse("x2/3", n), [ex.parse("x1^2 + x2^2 - 1", n), ex.parse("0", n)],
+                         ex.parse("y2^2/5", n), q=0.625)
+        probe = build_hamiltonian(spec)
+        gc.disable()
+        try:
+            system = _System(spec, MorseOptions())
+            system.rhs([0.1, 0.9, -0.5, 0.2])
+            assert probe in ex._COMPILED_JETS
+            del system
             assert probe not in ex._COMPILED_JETS
         finally:
             gc.enable()

@@ -419,6 +419,37 @@ class TestShotObserver:
         assert all(got == want for got, want in hashes)
 
 
+class TestRhsCounting:
+    def test_one_jet_gradient_per_rhs_call(self, monkeypatch):
+        # a wrapper patched on the class attribute JetEvaluator.gradient sees
+        # every rhs call of a shot, also one generated before the patch, and
+        # the rhs reports the morse module
+        system = _System(circle_spec(), MorseOptions())
+        assert system.rhs.__module__ == "defham.morse"
+        counts = {"gradient": 0, "rhs": 0}
+        gradient, path = ex.JetEvaluator.gradient, morse.rkf45_path
+
+        def counting_gradient(jet, z):
+            counts["gradient"] += 1
+            return gradient(jet, z)
+
+        def counting_path(rhs, *args, **kwargs):
+            def counted(u):
+                counts["rhs"] += 1
+                return rhs(u)
+
+            return path(counted, *args, **kwargs)
+
+        monkeypatch.setattr(ex.JetEvaluator, "gradient", counting_gradient)
+        monkeypatch.setattr(morse, "rkf45_path", counting_path)
+        targets = [p.coords() for p in find_critical_points(system.spec) if p.index == 1]
+        counts["gradient"] = 0  # Newton's gradients
+        start = np.array([0.03, 1.02, -0.5, 0.04])
+        morse._shoot(system, start, targets, 1e-9, 1e-11)
+        assert counts["rhs"] > 100
+        assert counts["gradient"] == counts["rhs"]
+
+
 class TestHomologyHelpers:
     def test_mod2_rank_hand_cases(self):
         assert mod2_rank(np.array([[1, 1], [1, 1]])) == 1
