@@ -44,6 +44,12 @@ class ScenarioError(ValueError):
     pass
 
 
+# what a valid scenario's computation may raise: a failed run, not a crash; a
+# tree too deep for the recursive walkers (hash, differentiate) is one
+_COMPUTATION_FAILURES = (dyn.IntegrationError, morse.MorseConditionError, NotImplementedError,
+                        ArithmeticError, ValueError, RecursionError)
+
+
 # ---------------------------------------------------------------------------
 # Schemas.
 
@@ -590,7 +596,7 @@ def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
         if wants_flow:
             trajectory = dyn.integrate(spec, _z0(doc))
             for tol in regime_tols:
-                row["violations"][tol] = _regime_violations(spec, trajectory, tol)
+                row["violations"][tol] = dyn.regime_violations(spec, trajectory, tol)
         for obs in doc["observables"]:
             if obs == "final_H":
                 row[obs] = float(trajectory.energies[-1])
@@ -604,7 +610,7 @@ def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
             elif obs == "symplectic_defect":
                 vf = dyn.integrate_variational(spec, _z0(doc))
                 row[obs] = max(d for _, d in dyn.pullback_defect(vf))
-    except Exception as err:  # per-q failure is recorded, sweep continues
+    except _COMPUTATION_FAILURES as err:  # per-q failure is recorded, sweep continues
         row["error"] = str(err)
     return row
 
@@ -642,44 +648,6 @@ def _run_sweep(doc, parsed):
             )
             checks.add("fibre_volume_power", worst, tol)
     return checks, {doc.get("output", "sweep.csv"): csv}
-
-
-def _regime_rates(spec: dyn.FlowSpec):
-    """``z -> (sum_i H_{x_i} H_{y_i}, dH/dt)`` on Python floats, generated once per (H, q)."""
-    n, g = spec.n, [f"g{i}" for i in range(2 * spec.n)]
-    velocity = [f"(qinv * {v})" for v in g[n:]] + [f"(-1.0 * {v})" for v in g[:n]]
-    coupling = " + ".join(["0.0", *map("{} * {}".format, g[:n], g[n:])])
-    dhdt = " + ".join(["0.0", *map("{} * {}".format, g, velocity)])
-    namespace = {"gradient": ex.JetEvaluator(spec.hamiltonian).gradient, "qinv": 1.0 / spec.q}
-    exec(f"def rates(z):\n    {', '.join(g)}, = gradient(z)\n    return {coupling}, {dhdt}\n",
-         namespace)
-    return namespace.pop("rates")
-
-
-def _regime_violations(spec: dyn.FlowSpec, trajectory: dyn.Trajectory, tol: float) -> int:
-    """Sample-wise regime check of a trajectory of ``spec``: where
-    sum H_x H_y > tol the sign of dH/dt must equal sign(1/q - 1); at q = 1
-    the energy must be conserved.  Only signs are read, so the sums may round
-    unlike np.dot's; a q != 1 flow with no coupled sample counts as one violation."""
-    q = spec.q
-    if q == 1:
-        drift = float(np.max(np.abs(trajectory.energies - trajectory.energies[0])))
-        return 0 if drift <= tol else 1
-    rates = _regime_rates(spec)
-    expected = 1.0 if (1.0 / q - 1.0) > 0 else -1.0
-    violations = coupled = 0
-    for z in trajectory.zs.tolist():
-        try:
-            coupling, dhdt = rates(z)
-        except (ArithmeticError, ValueError):  # Python floats raise where float64 gives inf
-            with np.errstate(all="ignore"):
-                coupling, dhdt = rates(np.asarray(z))
-        if coupling <= tol:
-            continue
-        coupled += 1
-        if math.copysign(1.0, dhdt) != expected:
-            violations += 1
-    return violations if coupled else 1
 
 
 _RUNNERS = {
@@ -728,8 +696,7 @@ def run_scenario(scenario_path, out_dir=None) -> int:
     started = time.perf_counter()
     try:
         checks, artifacts = _RUNNERS[doc["kind"]](doc, parsed)
-    except (dyn.IntegrationError, morse.MorseConditionError, NotImplementedError,
-            ArithmeticError, ValueError) as err:
+    except _COMPUTATION_FAILURES as err:
         # validity was decided above, so this is the computation failing:
         # report it, do not crash
         message = f"{type(err).__name__}: {err}"

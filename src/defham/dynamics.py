@@ -12,7 +12,7 @@ from the exact symbolic Hessian of H.
 Both integrators are straight-line loops generated once per state length
 (_rk4_loop, _rkf45_loop) on lists of Python floats.  A flow's rhs is
 the field compiled once per (H, q) (HamiltonianField.compiled_field);
-field_list stays the pointwise form for single evaluations.
+field_from_gradient stays the pointwise form for single evaluations.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "integrate",
     "integrate_variational",
     "pullback_defect",
+    "regime_violations",
     "trajectory_csv",
 ]
 
@@ -113,24 +114,15 @@ class HamiltonianField:
         self.jet = ex.JetEvaluator(hamiltonian)
         self._qinv = 1.0 / float(q)
 
-    def gradient(self, z) -> np.ndarray:
-        return np.array(self.jet.gradient(z))
-
     def field(self, z) -> np.ndarray:
-        return np.array(self.field_list(z))
-
-    def field_list(self, z) -> list:
-        """The field at one point as a list of floats (compiled_field, pointwise)."""
-        return self.field_from_gradient(self.jet.gradient(z))
+        return np.array(self.field_from_gradient(self.jet.gradient(z)))
 
     @functools.cached_property
     def compiled_field(self) -> Callable[[Sequence[float]], list]:
-        """field_list compiled once, rounding as it does: the rhs of the flows."""
+        """The field compiled once, rounding as field_from_gradient does: the rhs of the flows."""
         grads = self.jet.derivatives
-        n = self.n
-        return ex.compile_scaled(
-            [(self._qinv, g) for g in grads[n:]] + [(-1.0, g) for g in grads[:n]], __name__
-        )
+        return ex.compile_scaled([(c, grads[i]) for c, i in _field_terms(self.n, self._qinv)],
+                                 __name__)
 
     def field_from_gradient(self, g: Sequence[float]) -> list:
         """The field as a list of floats, given the gradient of H at the point."""
@@ -146,6 +138,12 @@ class HamiltonianField:
         out[:n, :] = self._qinv * h[n:, :]
         out[n:, :] = -h[:n, :]
         return out
+
+
+def _field_terms(n: int, qinv: float) -> list[tuple[float, int]]:
+    """The entries of X^q_H as (scale, index into the gradient of H), for the
+    generated forms of the field."""
+    return [(qinv, n + i) for i in range(n)] + [(-1.0, i) for i in range(n)]
 
 
 def deformed_field(hamiltonian: ex.Node, q: float, z: PhasePoint):
@@ -165,7 +163,7 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
     """
     f = HamiltonianField(hamiltonian, q)
     za = z.as_array()
-    g = f.gradient(za)
+    g = np.array(f.jet.gradient(za))
     n = f.n
     lhs = float(g @ f.field_from_gradient(g))
     rhs = (1.0 / q - 1.0) * float(g[:n] @ g[n:])
@@ -215,10 +213,8 @@ def _rk4_loop(d: int) -> Callable:
         f"            observe(k * h, [{zs}])",
         f"    return [{zs}]",
     ]
-    namespace = {"__name__": __name__, "isfinite": math.isfinite, "non_finite": _NON_FINITE,
-                 "IntegrationError": IntegrationError}
-    exec("\n".join(lines) + "\n", namespace)
-    return namespace.pop("loop")
+    return ex.define("\n".join(lines) + "\n", "loop", __name__, isfinite=math.isfinite,
+                     non_finite=_NON_FINITE, IntegrationError=IntegrationError)
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
@@ -351,11 +347,9 @@ def _rkf45_loop(d: int) -> Callable:
         "        h *= f if f < 5.0 else 5.0",
         "    return z",
     ]
-    namespace = {"__name__": __name__, "nan": math.nan, "sqrt": math.sqrt,
-                 "isfinite": math.isfinite, "non_finite": _NON_FINITE,
-                 "IntegrationError": IntegrationError}
-    exec("\n".join(lines) + "\n", namespace)
-    return namespace.pop("loop")
+    return ex.define("\n".join(lines) + "\n", "loop", __name__, nan=math.nan, sqrt=math.sqrt,
+                     isfinite=math.isfinite, non_finite=_NON_FINITE,
+                     IntegrationError=IntegrationError)
 
 
 def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
@@ -467,6 +461,42 @@ def pullback_defect(
         defect = float(np.max(np.abs(d.T @ om @ d - target)))
         out.append((float(t), defect))
     return out
+
+
+def _regime_rates(spec: FlowSpec):
+    """``z -> (sum_i H_{x_i} H_{y_i}, dH/dt)`` on Python floats, generated once per (H, q)."""
+    g = [f"g{i}" for i in range(2 * spec.n)]
+    velocity = [f"({c!r} * g{i})" for c, i in _field_terms(spec.n, 1.0 / spec.q)]
+    coupling = " + ".join(["0.0", *map("{} * {}".format, g[: spec.n], g[spec.n :])])
+    dhdt = " + ".join(["0.0", *map("{} * {}".format, g, velocity)])
+    source = f"def rates(z):\n    {', '.join(g)}, = gradient(z)\n    return {coupling}, {dhdt}\n"
+    return ex.define(source, "rates", __name__, gradient=ex.JetEvaluator(spec.hamiltonian).gradient)
+
+
+def regime_violations(spec: FlowSpec, trajectory: Trajectory, tol: float) -> int:
+    """Sample-wise regime check of a trajectory of ``spec``: where
+    sum H_x H_y > tol the sign of dH/dt must equal sign(1/q - 1); at q = 1
+    the energy must be conserved.  Only signs are read, so the sums may round
+    unlike np.dot's; a q != 1 flow with no coupled sample counts as one violation."""
+    q = spec.q
+    if q == 1:
+        drift = float(np.max(np.abs(trajectory.energies - trajectory.energies[0])))
+        return 0 if drift <= tol else 1
+    rates = _regime_rates(spec)
+    expected = 1.0 if (1.0 / q - 1.0) > 0 else -1.0
+    violations = coupled = 0
+    for z in trajectory.zs.tolist():
+        try:
+            coupling, dhdt = rates(z)
+        except _NON_FINITE:  # Python floats raise where float64 gives inf or nan
+            with np.errstate(all="ignore"):
+                coupling, dhdt = rates(np.asarray(z))
+        if coupling <= tol:
+            continue
+        coupled += 1
+        if math.copysign(1.0, dhdt) != expected:
+            violations += 1
+    return violations if coupled else 1
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:

@@ -49,6 +49,7 @@ __all__ = [
     "compile_scalar",
     "compile_vector",
     "compile_scaled",
+    "define",
     "JetEvaluator",
 ]
 
@@ -401,11 +402,15 @@ class _Parser:
 
 def parse(text: str, n: int) -> Node:
     """Parse ``text`` into an expression tree over x1..xn, y1..yn."""
-    return _Parser(text, n).parse()
+    try:
+        return _Parser(text, n).parse()
+    except RecursionError:  # the parser recurses once per nested bracket
+        raise ExprError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
-# Printing, chosen so that parse(to_text(e), e.n) reproduces e exactly.
+# Printing, chosen so that parse(to_text(e), e.n) reproduces e exactly; the
+# same print is the Python source of the compiled functions.
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
@@ -429,31 +434,36 @@ def _prec(e: Node) -> int:
     return _PREC_ATOM
 
 
-def _wrap(e: Node, minimum: int) -> str:
-    s = to_text(e)
+def _wrap(e: Node, minimum: int, python: bool) -> str:
+    s = to_text(e, python)
     return f"({s})" if _prec(e) < minimum else s
 
 
-def to_text(e: Node) -> str:
+def to_text(e: Node, python: bool = False) -> str:
+    """The text of ``e``; with ``python``, the Python source of its value at
+    z, which differs only in writing x1 as ``z[0]`` and ``^`` as ``**``
+    (Python's ``**`` and unary ``-`` bind as ``^`` and ``-`` do here)."""
     if isinstance(e, Const):
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(e, Var):
+        if python:
+            return f"z[{(0 if e.kind == 'x' else e.n) + e.index - 1}]"
         return f"{e.kind}{e.index}"
     if isinstance(e, Add):
-        return f"{_wrap(e.a, _PREC_ADD)} + {_wrap(e.b, _PREC_ADD + 1)}"
+        return f"{_wrap(e.a, _PREC_ADD, python)} + {_wrap(e.b, _PREC_ADD + 1, python)}"
     if isinstance(e, Sub):
-        return f"{_wrap(e.a, _PREC_ADD)} - {_wrap(e.b, _PREC_ADD + 1)}"
+        return f"{_wrap(e.a, _PREC_ADD, python)} - {_wrap(e.b, _PREC_ADD + 1, python)}"
     if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL)}*{_wrap(e.b, _PREC_MUL + 1)}"
+        return f"{_wrap(e.a, _PREC_MUL, python)}*{_wrap(e.b, _PREC_MUL + 1, python)}"
     if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL)}/{_wrap(e.b, _PREC_MUL + 1)}"
+        return f"{_wrap(e.a, _PREC_MUL, python)}/{_wrap(e.b, _PREC_MUL + 1, python)}"
     if isinstance(e, Neg):
-        return f"-{_wrap(e.a, _PREC_NEG)}"
+        return f"-{_wrap(e.a, _PREC_NEG, python)}"
     if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
+        return f"{_wrap(e.base, _PREC_ATOM, python)}{'**' if python else '^'}{e.exponent}"
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
+        return f"{e.func}({to_text(e.arg, python)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -591,53 +601,28 @@ def _eval(e: Node, z: Sequence[float], memo: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python functions for tight numeric loops; each is popped
-# from its exec namespace, so no reference cycle keeps it (and what it reaches).
+# Compilation to plain Python functions for tight numeric loops.
 
 
-def _codegen(e: Node) -> str:
-    if isinstance(e, Const):
-        v = e.value
-        if v.denominator == 1:
-            return f"({v.numerator})"
-        return f"({v.numerator}/{v.denominator})"
-    if isinstance(e, Var):
-        offset = 0 if e.kind == "x" else e.n
-        return f"z[{offset + e.index - 1}]"
-    if isinstance(e, Add):
-        return f"({_codegen(e.a)}+{_codegen(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.a)}-{_codegen(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.a)}*{_codegen(e.b)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.a)}/{_codegen(e.b)})"
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base)}**({e.exponent}))"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.a)})"
-    if isinstance(e, Call):
-        return f"{e.func}({_codegen(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+def define(source: str, name: str, module: str, **env) -> Callable:
+    """The function ``name`` that the generated ``source`` defines, run with
+    ``__name__ = module`` (its ``__module__``) and sin, cos, exp, inf and
+    ``env`` in scope.  It is popped from the namespace it was run in, so no
+    reference cycle keeps it, or what it reaches, alive."""
+    namespace = {"__name__": module, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "inf": math.inf, **env}
+    exec(source, namespace)
+    return namespace.pop(name)
 
 
 def compile_scalar(e: Node) -> Callable[[Sequence[float]], float]:
     """Compile an expression to a fast float-valued function of z[0:2n]."""
-    source = f"def _f(z):\n    return {_codegen(e)}\n"
-    ns = dict(_NAMESPACE)
-    exec(source, ns)
-    return ns.pop("_f")
+    return define(f"def _f(z):\n    return {to_text(e, True)}\n", "_f", __name__)
 
 
 def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
-    body = ", ".join(_codegen(e) for e in exprs)
-    source = f"def _f(z):\n    return ({body},)\n"
-    ns = dict(_NAMESPACE)
-    exec(source, ns)
-    return ns.pop("_f")
+    body = ", ".join(to_text(e, True) for e in exprs)
+    return define(f"def _f(z):\n    return ({body},)\n", "_f", __name__)
 
 
 def compile_scaled(
@@ -645,10 +630,8 @@ def compile_scaled(
 ) -> Callable[[Sequence[float]], list]:
     """Compile ``z -> [c * e(z) for c, e in terms]``, each entry ``c * (e)`` rounding as
     c times the compiled e (``-1.0 * (0)`` is -0.0); ``module`` is its ``__module__``."""
-    body = ", ".join(f"{c!r} * {_codegen(e)}" for c, e in terms)
-    ns = dict(_NAMESPACE, inf=math.inf, __name__=module)
-    exec(f"def _f(z):\n    return [{body}]\n", ns)
-    return ns.pop("_f")
+    body = ", ".join(f"{c!r} * ({to_text(e, True)})" for c, e in terms)
+    return define(f"def _f(z):\n    return [{body}]\n", "_f", module)
 
 
 def _variable_list(n: int) -> list[tuple[str, int]]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
@@ -264,10 +263,8 @@ class _System:
         looked up per call so a wrapper patched on the class sees each one."""
         g = [f"g{i}" for i in range(len(self.jet.derivatives))]
         scaled = ", ".join(f"{c!r} * {v}" for c, v in zip((-self.scales).tolist(), g))
-        namespace = {"__name__": __name__, "jet": self.jet}
-        exec(f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n",
-             namespace)
-        return namespace.pop("rhs")
+        source = f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n"
+        return ex.define(source, "rhs", __name__, jet=self.jet)
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -826,7 +823,6 @@ def count_flow_lines(
     p_minus: CriticalPoint,
     p_plus: CriticalPoint,
     options: Optional[MorseOptions] = None,
-    all_points: Optional[Sequence[CriticalPoint]] = None,
 ) -> FlowLineCount:
     """Mod-2 (with raw) count of flow lines from p_minus down to p_plus.
 
@@ -840,16 +836,8 @@ def count_flow_lines(
         )
     options = options or MorseOptions()
     system = _System(spec, options)
-    others = [p for p in (all_points or []) if p not in (p_minus, p_plus)]
-    stop_points = [system.coords(p_plus)] + [system.coords(p) for p in others]
-    lines, escaped = _lines_from(system, p_minus, stop_points)
+    lines, escaped = _lines_from(system, p_minus, [system.coords(p_plus)])
     to_target = lines.get(0, [])
-    if escaped > 0.5:
-        warnings.warn(
-            f"{escaped:.0%} of shooting directions escaped the search box; "
-            "the Morse-Smale assumption may fail or the box may be too small",
-            stacklevel=2,
-        )
     raw = len(to_target)
     registered = tuple(round(theta, 9) for theta, _ in to_target)
     return FlowLineCount(
@@ -982,15 +970,14 @@ def _match_point(points: Sequence[CriticalPoint], reference: CriticalPoint) -> C
 def adiabatic_deviation(
     spec: MorseSpec,
     q_list: Sequence[float],
-    pair: Optional[tuple[CriticalPoint, CriticalPoint]] = None,
     options: Optional[MorseOptions] = None,
 ) -> list[tuple[float, float]]:
     """Max distance of a recomputed flow line from Z, for each q in q_list.
 
     For each q the critical points are re-solved, the flow line joining the
-    chosen pair is re-shot, and the trajectory's maximum deviation from the
-    constraint set is recorded.  The limit q -> 0 forces the flow onto Z, so
-    the deviations should decrease.
+    pair of lowest and highest index found at the first q is re-shot, and
+    the trajectory's maximum deviation from the constraint set is recorded.
+    The limit q -> 0 forces the flow onto Z, so the deviations should decrease.
     """
     options = options or MorseOptions()
     if not q_list:
@@ -1007,7 +994,7 @@ def adiabatic_deviation(
     options = replace(options, capture_radius=max(options.capture_radius, 0.15))
     meter = _DeviationMeter(spec)
     out = []
-    reference_pair = pair
+    reference_pair = None
     for q in q_list:
         spec_q = MorseSpec(spec.n, spec.f, spec.w, spec.g, q=q, space=spec.space)
         points = find_critical_points(spec_q, options=options)

@@ -160,32 +160,39 @@ class Poly:
 def poly_from_expression(e: ex.Node) -> Poly:
     """Convert a polynomial expression tree to a Poly.
 
-    Raises ValueError on sin/cos/exp, non-constant divisors or negative
-    powers of non-constants.
+    Raises ValueError on sin/cos/exp, non-constant divisors, negative
+    powers of non-constants or a tree too deep to walk.
     """
+    try:
+        return _poly(e)
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
+
+
+def _poly(e: ex.Node) -> Poly:
     n = e.n
     if isinstance(e, ex.Const):
         return Poly.constant(n, e.value)
     if isinstance(e, ex.Var):
         return Poly.variable(n, e.kind, e.index)
     if isinstance(e, ex.Add):
-        return poly_from_expression(e.a) + poly_from_expression(e.b)
+        return _poly(e.a) + _poly(e.b)
     if isinstance(e, ex.Sub):
-        return poly_from_expression(e.a) - poly_from_expression(e.b)
+        return _poly(e.a) - _poly(e.b)
     if isinstance(e, ex.Mul):
-        return poly_from_expression(e.a) * poly_from_expression(e.b)
+        return _poly(e.a) * _poly(e.b)
     if isinstance(e, ex.Div):
-        denom = poly_from_expression(e.b)
+        denom = _poly(e.b)
         if not denom.is_constant():
             raise ValueError(f"non-polynomial quotient: {ex.to_text(e)}")
         c = denom.constant_value()
         if c == 0:
             raise ValueError(f"division by zero: {ex.to_text(e)}")
-        return poly_from_expression(e.a) * (Fraction(1) / c)
+        return _poly(e.a) * (Fraction(1) / c)
     if isinstance(e, ex.Neg):
-        return -poly_from_expression(e.a)
+        return -_poly(e.a)
     if isinstance(e, ex.Pow):
-        base = poly_from_expression(e.base)
+        base = _poly(e.base)
         if e.exponent < 0:
             if not base.is_constant():
                 raise ValueError(f"negative power of non-constant: {ex.to_text(e)}")

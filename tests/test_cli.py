@@ -18,7 +18,6 @@ from defham.cli import (
     EXIT_PASS,
     ScenarioError,
     _flow_spec,
-    _regime_violations,
     _z0,
     main,
     run_scenario,
@@ -259,12 +258,24 @@ class TestRun:
              {"checks": [{"name": "c", "measure": "bogus", "threshold": 1}]}, "/checks/0/measure"),
             ("oscillator_energy", {"hamiltonian": "x1^2 + 0^-1"},
              "/hamiltonian: constant zero raised to a negative power"),
+            # the parser and the polynomial conversion recurse per level
+            ("oscillator_energy", {"hamiltonian": "(" * 1200 + "x1^2 + y1^2" + ")" * 1200},
+             "/hamiltonian: expression nested too deeply"),
+            ("classify_conformal", {"hamiltonian": " + ".join(["x1*y1"] * 3000)},
+             "/hamiltonian: expression nested too deeply"),
         ],
         ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
-             "simulate_zero_power"],
+             "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
+
+    def test_long_sum_runs(self, tmp_path):
+        # a sum is one tree level per term; its generated source nests no brackets
+        doc = json.loads((SCENARIOS / "oscillator_energy.json").read_text())
+        doc.update(hamiltonian=" + ".join(["x1^2/200"] * 100 + ["y1^2/200"] * 100), t_final=1.0)
+        path = write_doc(tmp_path, doc)
+        assert run_scenario(path, tmp_path) == EXIT_PASS
 
     @pytest.mark.parametrize(
         "data",
@@ -365,7 +376,7 @@ class TestSweepChecks:
             trajectory = dyn.integrate(spec, _z0(doc))
             violations, coupled = _reference_regime_violations(spec, trajectory, tol)
             assert coupled > 1000  # x1 y1 > 0 on part of each turn
-            assert _regime_violations(spec, trajectory, tol) == violations == 0
+            assert dyn.regime_violations(spec, trajectory, tol) == violations == 0
 
     def test_sample_where_python_floats_raise_is_taken_on_float64(self, recwarn):
         # [DERIVED] at x1 = 0 the gradient of y1/x1 raises 0.0**-1; on float64
@@ -376,7 +387,7 @@ class TestSweepChecks:
         with np.errstate(all="ignore"):
             violations, coupled = _reference_regime_violations(spec, trajectory, 1e-8)
         assert (violations, coupled) == (0, 2)
-        assert _regime_violations(spec, trajectory, 1e-8) == 0
+        assert dyn.regime_violations(spec, trajectory, 1e-8) == 0
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     @settings(
@@ -400,7 +411,17 @@ class TestSweepChecks:
                 violations, coupled = _reference_regime_violations(spec, trajectory, tol)
         except (dyn.IntegrationError, ArithmeticError, ValueError):
             assume(False)
-        assert _regime_violations(spec, trajectory, tol) == (violations if coupled else 1)
+        assert dyn.regime_violations(spec, trajectory, tol) == (violations if coupled else 1)
+
+    def test_a_bug_in_a_row_propagates(self, tmp_path, monkeypatch):
+        # a row records only a computation failure; a bug must not read as a failed check
+        def broken(spec, z0):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(dyn, "integrate", broken)
+        path = write_doc(tmp_path, json.loads((SCENARIOS / "regime_trichotomy.json").read_text()))
+        with pytest.raises(TypeError, match="a bug"):
+            run_scenario(path, tmp_path)
 
     def test_fibre_volume_power_fails_on_a_failed_row(self, tmp_path):
         # the fibre volume needs q > 0; a failed row must fail the check
@@ -421,7 +442,7 @@ def _reference_regime_violations(spec, trajectory, tol):
     expected = 1.0 if (1.0 / spec.q - 1.0) > 0 else -1.0
     violations = coupled = 0
     for z in trajectory.zs:
-        g = field.gradient(z)
+        g = np.array(field.jet.gradient(z))
         coupling = float(g[:n] @ g[n:])
         if coupling <= tol:
             continue
@@ -460,6 +481,13 @@ class TestPipelineFailures:
                  "mode": "conformal", "c": 1000.0,
                  "checks": [{"name": "d", "measure": "max_defect", "threshold": 1e-6}]},
                 "OverflowError: math range error",
+            ),
+            (
+                # a valid sum too deep for the recursive tree walkers of the run
+                {"kind": "simulate", "name": "deep sum", "n": 1, "q": 1.0,
+                 "hamiltonian": " + ".join(["x1^2/2", "y1^2/2"] * 1500),
+                 "z0": [1.0, 0.0], "t_final": 0.01},
+                "RecursionError: maximum recursion depth exceeded",
             ),
         ],
     )

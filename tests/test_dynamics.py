@@ -74,7 +74,8 @@ class TestField:
         z = [1.0, -0.0, 0.5, -0.0]
         g = np.array(f.jet.gradient(z), dtype=float)
         want = np.concatenate([2.0 * g[2:], -g[:2]])
-        assert np.array(f.field_list(z), dtype=float).tobytes() == want.tobytes()
+        got = f.field_from_gradient(f.jet.gradient(z))
+        assert np.array(got, dtype=float).tobytes() == want.tobytes()
 
 
 _N = 2
@@ -128,7 +129,7 @@ class TestDissipationIdentity:
         h = ex.parse("x1*y1", 1)
         f = HamiltonianField(h, 1.0 / 3.0)
         z = np.array([1.0, 1.0])
-        assert float(f.gradient(z) @ f.field(z)) == pytest.approx(2.0, abs=1e-13)
+        assert float(np.array(f.jet.gradient(z)) @ f.field(z)) == pytest.approx(2.0, abs=1e-13)
         assert energy_derivative_defect(h, 1.0 / 3.0, PhasePoint((1.0,), (1.0,))) < 1e-14
 
     def test_random_sweep(self, rng):
@@ -404,7 +405,7 @@ class TestRKF45Kernel:
 
         def rhs(z):
             try:
-                return field.field_list(z)
+                return field.field_from_gradient(field.jet.gradient(z))
             except (ArithmeticError, ValueError) as exc:
                 raised.append(type(exc))
                 raise
@@ -447,6 +448,19 @@ class TestRKF45Attempts:
         assert len(path) - 1 == accepted
         assert calls == ref_calls
         assert repeats == ref_calls // 6 - accepted == 10
+
+
+class TestErrorNormSum:
+    def test_sum_and_mean_in_numpys_order(self, rng):
+        # [DERIVED] the RKF45 error norm sums d squares in numpy's pairwise
+        # order; past 128 terms (n >= 65, or n >= 6 for a variational flow)
+        # the sum splits in two at a multiple of 8
+        for m in range(1, 301):
+            values = rng.standard_normal(m) * 10.0 ** rng.uniform(-8, 8, m)
+            total = dynamics._numpy_sum_source([f"v[{i}]" for i in range(m)])
+            got = eval(f"({total}, {total} / {m})", {"v": values.tolist()})
+            want = (np.add.reduce(values), np.mean(values))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), m
 
 
 # Classical RK4 on float64 arrays.  The kernel must reproduce its paths bit
@@ -535,7 +549,8 @@ class TestRK4Kernel:
         h = ex.parse("y1*x1*x1 + sin(x1*x1*x1)", 1)
         field = HamiltonianField(h, 1.0)
         with pytest.raises(IntegrationError, match="solution blew up") as err:
-            dynamics.rk4_path(field.field_list, [1e103, 0.0], 1.0, 0.1, 1, lambda t, z: None)
+            rhs = lambda z: field.field_from_gradient(field.jet.gradient(z))  # noqa: E731
+            dynamics.rk4_path(rhs, [1e103, 0.0], 1.0, 0.1, 1, lambda t, z: None)
         assert isinstance(err.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("flow", [integrate, integrate_variational])

@@ -6,14 +6,17 @@ trees the constructors and derivative as they were before the 0/1
 identities were tested ahead of constant folding.
 """
 
+import ast
 import dataclasses
 import gc
+import inspect
 import math
 import pickle
 import sys
 import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +24,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from defham import expr as ex
-from defham.cli import _regime_rates, _run_bracket
-from defham.dynamics import FlowSpec
+from defham.cli import _run_bracket
+from defham.dynamics import FlowSpec, HamiltonianField, _regime_rates, _rk4_loop, _rkf45_loop
 from defham.morse import MorseOptions, MorseSpec, _System, build_hamiltonian
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
@@ -500,32 +503,39 @@ def ref_diff(e, kind, index, memo):
 
 
 N_RANDOM = 2
-_LEAVES = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]).map(
-        lambda c: ex.Const(N_RANDOM, c)
-    ),
-    st.builds(
-        lambda kind, index: ex.Var(N_RANDOM, kind, index),
-        st.sampled_from("xy"),
-        st.integers(1, N_RANDOM),
-    ),
-)
+_CONSTANTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 _BINARY = st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div])
 
 
-def _extend(children):
-    # every node kind, built raw so that unfolded constants occur; a binary
-    # node over one child twice makes the tree a DAG
-    return st.one_of(
-        st.builds(lambda cls, a, b: cls(N_RANDOM, a, b), _BINARY, children, children),
-        st.builds(lambda cls, a: cls(N_RANDOM, a, a), _BINARY, children),
-        st.builds(lambda a, k: ex.Pow(N_RANDOM, a, k), children, st.integers(-2, 3)),
-        st.builds(lambda a: ex.Neg(N_RANDOM, a), children),
-        st.builds(lambda f, a: ex.Call(N_RANDOM, f, a), st.sampled_from(ex.FUNCTIONS), children),
+def _random_trees(constants, exponents):
+    """Raw trees over x1, x2, y1, y2 and the leaf ``constants``, with powers
+    to the integer ``exponents`` range."""
+    leaves = st.one_of(
+        st.sampled_from(constants).map(lambda c: ex.Const(N_RANDOM, c)),
+        st.builds(
+            lambda kind, index: ex.Var(N_RANDOM, kind, index),
+            st.sampled_from("xy"),
+            st.integers(1, N_RANDOM),
+        ),
     )
 
+    def extend(children):
+        # every node kind, built raw so that unfolded constants occur; a binary
+        # node over one child twice makes the tree a DAG
+        return st.one_of(
+            st.builds(lambda cls, a, b: cls(N_RANDOM, a, b), _BINARY, children, children),
+            st.builds(lambda cls, a: cls(N_RANDOM, a, a), _BINARY, children),
+            st.builds(lambda a, k: ex.Pow(N_RANDOM, a, k), children, st.integers(*exponents)),
+            st.builds(lambda a: ex.Neg(N_RANDOM, a), children),
+            st.builds(
+                lambda f, a: ex.Call(N_RANDOM, f, a), st.sampled_from(ex.FUNCTIONS), children
+            ),
+        )
 
-RANDOM_TREES = st.recursive(_LEAVES, _extend, max_leaves=10)
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+RANDOM_TREES = _random_trees(_CONSTANTS, (-2, 3))
 RANDOM_POINTS = st.lists(st.floats(-2.0, 2.0), min_size=2 * N_RANDOM, max_size=2 * N_RANDOM)
 
 
@@ -584,3 +594,66 @@ class TestConstructorsAndHashes:
         assert "_hash" not in e.__reduce_ex__(2)[2]
         copy = pickle.loads(pickle.dumps(e))
         assert copy == e and hash(copy) == hash(e)
+
+
+def _codegen(e):
+    """The fully parenthesized Python source the compiled functions were once
+    generated from: the reference for the printer's ``to_text(e, True)``."""
+    if isinstance(e, ex.Const):
+        v = e.value
+        if v.denominator == 1:
+            return f"({v.numerator})"
+        return f"({v.numerator}/{v.denominator})"
+    if isinstance(e, ex.Var):
+        offset = 0 if e.kind == "x" else e.n
+        return f"z[{offset + e.index - 1}]"
+    if isinstance(e, ex.Add):
+        return f"({_codegen(e.a)}+{_codegen(e.b)})"
+    if isinstance(e, ex.Sub):
+        return f"({_codegen(e.a)}-{_codegen(e.b)})"
+    if isinstance(e, ex.Mul):
+        return f"({_codegen(e.a)}*{_codegen(e.b)})"
+    if isinstance(e, ex.Div):
+        return f"({_codegen(e.a)}/{_codegen(e.b)})"
+    if isinstance(e, ex.Pow):
+        return f"({_codegen(e.base)}**({e.exponent}))"
+    if isinstance(e, ex.Neg):
+        return f"(-{_codegen(e.a)})"
+    if isinstance(e, ex.Call):
+        return f"{e.func}({_codegen(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+SOURCE_TREES = _random_trees(
+    _CONSTANTS + [Fraction(-1, 2), Fraction(3), Fraction(-7, 3), Fraction(10**20)], (-3, 3)
+)
+
+
+class TestPrinter:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(SOURCE_TREES)
+    def test_python_source_parses_as_the_fully_parenthesized_source(self, e):
+        # equal ASTs compile to equal code, so every compiled value keeps its bits;
+        # c * (e) is how compile_scaled scales an entry
+        source = ex.to_text(e, True)
+        assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(_codegen(e)))
+        assert ast.dump(ast.parse(f"-1.0 * ({source})")) == ast.dump(
+            ast.parse(f"-1.0 * {_codegen(e)}")
+        )
+
+
+class TestOneExec:
+    def test_exec_only_in_define_and_callbacks_name_their_module(self):
+        # one exec site: the no-cycle pop and the module name live in expr.define
+        src = Path(ex.__file__).parent
+        sites = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+                 for line in path.read_text().splitlines() if "exec(" in line]
+        assert sites == [("expr.py", "exec(source, namespace)")]
+        assert "exec(source, namespace)" in inspect.getsource(ex.define)
+        # a tracer charges a generated callback to the layer its __module__ names
+        field = HamiltonianField(ex.parse("x1*y1 + y1^2/2", 1), 0.5)
+        assert field.compiled_field.__module__ == "defham.dynamics"
+        assert _rk4_loop(3).__module__ == _rkf45_loop(3).__module__ == "defham.dynamics"
+        spec = MorseSpec(2, ex.parse("x2/3", 2), [ex.parse("x1^2 + x2^2 - 1", 2), ex.parse("0", 2)],
+                         ex.parse("y2^2/5", 2), q=0.5)
+        assert _System(spec, MorseOptions()).rhs.__module__ == "defham.morse"
