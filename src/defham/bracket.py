@@ -26,8 +26,6 @@ __all__ = [
 
 def deformed_bracket(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
     """{H,F}_q(z) = omega(X^q_H(z), X_F(z))."""
-    if q == 0:
-        raise ValueError("q must be nonzero")
     za = z.as_array()
     xh = HamiltonianField(h, q).field(za)
     xf = HamiltonianField(f, 1.0).field(za)

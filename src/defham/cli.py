@@ -196,11 +196,6 @@ _KIND_SCHEMAS = {
                     "maxItems": 2,
                 },
             },
-            "grid": {"type": "integer", "minimum": 2},
-            "mesh": {"type": "integer", "minimum": 4},
-            "shoot_radius": {"type": "number", "exclusiveMinimum": 0},
-            "capture_radius": {"type": "number", "exclusiveMinimum": 0},
-            "t_max": {"type": "number", "exclusiveMinimum": 0},
             "expect_ranks": {
                 "type": "object",
                 "additionalProperties": {"type": "integer", "minimum": 0},
@@ -338,9 +333,7 @@ def _validate_morse(doc, f: ex.Node, w: list, g: ex.Node):
     if "adiabatic_q_list" in doc and base.base_only:
         raise ScenarioError("/adiabatic_q_list: adiabatic deviation needs a nontrivial constraint")
     options = morse.MorseOptions(
-        **{key: doc[key] for key in ("grid", "mesh", "shoot_radius", "capture_radius", "t_max")
-           if key in doc},
-        search_box=tuple(map(tuple, doc["box"])) if "box" in doc else None,
+        search_box=tuple(map(tuple, doc["box"])) if "box" in doc else None
     )
     try:
         options.box_for(base.dim)
@@ -615,12 +608,15 @@ def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
     return row
 
 
+_SWEEP_CHECK_TOL = {"regime_trichotomy": 1e-8, "fibre_volume_power": 1e-15}
+
+
 def _run_sweep(doc, parsed):
-    regime_tols = {
-        check.get("tol", 1e-8)
-        for check in doc.get("checks", [])
-        if check["type"] == "regime_trichotomy"
-    }
+    # (type, tol) of each check, in the scenario's order
+    wanted = [
+        (c["type"], c.get("tol", _SWEEP_CHECK_TOL[c["type"]])) for c in doc.get("checks", [])
+    ]
+    regime_tols = {tol for kind, tol in wanted if kind == "regime_trichotomy"}
     rows = [_sweep_row(doc, parsed["hamiltonian"], q, regime_tols) for q in doc["q_list"]]
     rows.sort(key=lambda r: r["q"])
 
@@ -631,13 +627,11 @@ def _run_sweep(doc, parsed):
     csv = "\n".join(lines) + "\n"
 
     checks = Checks()
-    for check in doc.get("checks", []):
-        if check["type"] == "regime_trichotomy":
-            tol = check.get("tol", 1e-8)
+    for kind, tol in wanted:
+        if kind == "regime_trichotomy":
             violations = sum(row["violations"][tol] for row in rows)
             checks.add("regime_trichotomy_violations", violations, 0)
-        elif check["type"] == "fibre_volume_power":
-            tol = check.get("tol", 1e-15)
+        elif kind == "fibre_volume_power":
             n = doc["n"]
             # a row whose ratio failed must not let the check pass
             worst = max(

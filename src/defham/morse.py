@@ -136,19 +136,18 @@ class MorseOptions:
     """Numerical parameters of the Morse pipeline; defaults validated on the
     bundled fixtures.
 
-    A morse scenario sets the fields through its keys ``box``, ``grid``,
-    ``mesh``, ``shoot_radius``, ``capture_radius`` and ``t_max``;
+    A morse scenario sets ``search_box`` through its key ``box``;
     ``adiabatic_deviation`` widens ``capture_radius``.  The class constants
     have one value in every run.
     """
 
     search_box: Optional[tuple] = None  # per-coordinate (lo, hi); None = [-2,2]
-    grid: int = 7
-    shoot_radius: float = 0.05
     capture_radius: float = 1e-3
-    mesh: int = 48
-    t_max: float = 200.0
 
+    grid: ClassVar[int] = 7  # Newton seeds per axis
+    mesh: ClassVar[int] = 48  # coarse shots on the unstable circle
+    shoot_radius: ClassVar[float] = 0.05
+    t_max: ClassVar[float] = 200.0
     newton_tol: ClassVar[float] = 1e-12
     max_newton: ClassVar[int] = 60
     dedupe_distance: ClassVar[float] = 1e-6
@@ -475,6 +474,10 @@ _SEPARATRIX_REL_TOL = 1e-12
 _REFINE_GATE = 0.5
 
 
+class _Stop(Exception):
+    """Ends a shot from inside its observer."""
+
+
 def _unstable_frame(system: _System, u: np.ndarray) -> np.ndarray:
     """Columns spanning the unstable subspace of the linearized flow at u."""
     s = system.symmetrized_hessian(u)
@@ -490,7 +493,6 @@ class _ShotResult:
     outcome: str  # "captured", "escaped", "timeout"
     target: Optional[int]
     min_dist: list  # closest approach per target along the path
-    ts: list
     states: list
     last_state: Optional[list] = None
 
@@ -505,21 +507,17 @@ def _shoot(
 ) -> _ShotResult:
     opts = system.options
     delta = opts.capture_radius
-    result = _ShotResult("timeout", None, [math.inf] * len(targets), [], [])
+    result = _ShotResult("timeout", None, [math.inf] * len(targets), [])
     best, copies = result.min_dist, len(targets)
     # one buffer for the displacements to all targets; a row's ddot is system.distance's
     goals = np.array(targets, dtype=float).reshape(-1)
     flat = np.empty(goals.size)
     rows = list(flat.reshape(copies, system.dim))
 
-    class _Stop(Exception):
-        pass
-
     def observe(t, z):
         # the integrator hands over a new list each step, so z is kept as is
         result.last_state = z
         if keep_states:
-            result.ts.append(t)
             result.states.append(np.array(z))
         d = flat  # a local name for the in-place -=
         d[:] = z * copies
@@ -596,19 +594,16 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
     delta = system.options.capture_radius
     shot_a = _angle_shot(system, u_minus, frame, theta_a, stop_points, rel, True)
     shot_b = _angle_shot(system, u_minus, frame, theta_b, stop_points, rel, True)
-    prefix_ts: list = []
     prefix_states: list = []
 
     def finish(shot):
         if not keep_states:
             shot.states = []
-            shot.ts = []
         elif prefix_states:
             # a refined tail starts mid-segment, off the true orbit; the
             # genuine track up to the closest approach is what callers
             # measure along, so report that and drop the transient
             shot.states = list(prefix_states)
-            shot.ts = list(prefix_ts)
         return shot
 
     for _ in range(4):
@@ -627,7 +622,6 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
         i_b = int(
             np.argmin([system.distance(z, stop_points[k]) for z in shot_b.states])
         )
-        offset = prefix_ts[-1] if prefix_ts else 0.0
         if keep_states:
             # the true orbit lies between the bracketing pair, so states
             # are certified only while the pair still agrees; the meterable
@@ -641,7 +635,6 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
                     cut = j
                     break
             prefix_states.extend(shot_a.states[:cut])
-            prefix_ts.extend(offset + t for t in shot_a.ts[:cut])
         z_a = np.array(shot_a.states[i_a])
         z_b = np.array(shot_b.states[i_b])
         segment = system.displacement(z_a, z_b)
@@ -663,7 +656,7 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
             if fm == fate_a:
                 lo_s, shot_a = mid, trial
             else:
-                hi_s, shot_b, fate_b = mid, trial, fm
+                hi_s, shot_b = mid, trial
     return None
 
 

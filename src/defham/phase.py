@@ -193,8 +193,6 @@ class DualEndomorphism:
 
 
 def dual_endomorphism(fam: MetricFamily) -> DualEndomorphism:
-    if fam.q == 0:
-        raise ValueError("q must be nonzero")
     return DualEndomorphism(fam)
 
 

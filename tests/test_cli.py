@@ -232,8 +232,17 @@ class TestRun:
             ("morse_t2", {"adiabatic_q_list": [1.0, 0.5]}, "needs a nontrivial constraint"),
             # q would be ignored: a run builds one complex per q_list entry
             ("morse_s1", {"q": 0.9}, "/q: .*set q or q_list"),
+            # the shooting numerics are MorseOptions constants, not scenario keys
+            ("morse_s1", {"grid": 9}, "'grid' was unexpected"),
+            ("morse_s1", {"mesh": 24}, "'mesh' was unexpected"),
+            ("morse_s1", {"shoot_radius": 0.1}, "'shoot_radius' was unexpected"),
+            ("morse_s1", {"capture_radius": 0.01}, "'capture_radius' was unexpected"),
+            ("morse_s1", {"t_max": 50.0}, "'t_max' was unexpected"),
         ],
-        ids=["q", "adiabatic_q", "box", "adiabatic_base_only", "q_and_q_list"],
+        ids=[
+            "q", "adiabatic_q", "box", "adiabatic_base_only", "q_and_q_list",
+            "grid", "mesh", "shoot_radius", "capture_radius", "t_max",
+        ],
     )
     def test_morse_spec_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
@@ -365,6 +374,27 @@ class TestSweepChecks:
         assert report["checks"] == [
             {"name": "regime_trichotomy_violations", "measured": 2, "threshold": 0, "pass": False}
         ]
+
+    def test_final_h_and_symplectic_defect_rows_equal_the_library(self, tmp_path):
+        # .17g round-trips a float64, so each cell equals its library value bit for bit
+        doc = regime_sweep(
+            hamiltonian="(x1^2 + y1^2)/2 + x1^3/3", observables=["final_H", "symplectic_defect"],
+            checks=[],
+        )
+        assert run_scenario(write_doc(tmp_path, doc), tmp_path) == EXIT_PASS
+        header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert header == "q,final_H,symplectic_defect,error"
+        hamiltonian = ex.parse(doc["hamiltonian"], doc["n"])
+        assert [float(row.split(",")[0]) for row in rows] == sorted(doc["q_list"])
+        for row in rows:
+            q, final_h, defect, error = row.split(",")
+            spec = _flow_spec(doc, hamiltonian, float(q))
+            want_defect = max(
+                d for _, d in dyn.pullback_defect(dyn.integrate_variational(spec, _z0(doc)))
+            )
+            assert float(final_h) == dyn.integrate(spec, _z0(doc)).energies[-1]
+            assert float(defect) == want_defect
+            assert error == ""
 
     def test_golden_counts_equal_the_float64_check(self):
         doc = json.loads((SCENARIOS / "regime_trichotomy.json").read_text())

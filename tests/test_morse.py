@@ -360,7 +360,7 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
     own displacement array and ddot) per target."""
     opts = system.options
     delta = opts.capture_radius
-    result = _ShotResult("timeout", None, np.full(len(targets), np.inf), [], [])
+    result = _ShotResult("timeout", None, np.full(len(targets), np.inf), [])
 
     class _Stop(Exception):
         pass
@@ -369,7 +369,6 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
         result.last_state = z
         state = np.array(z)
         if keep_states:
-            result.ts.append(t)
             result.states.append(state)
         for idx, target in enumerate(targets):
             dist = system.distance(state, target)
@@ -395,7 +394,7 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
 def _shot_hash(start, shot):
     digest = hashlib.sha256(np.asarray(start, dtype=float).tobytes())
     digest.update(repr((shot.outcome, shot.target)).encode())
-    for values in (shot.min_dist, shot.last_state or [], shot.ts, shot.states):
+    for values in (shot.min_dist, shot.last_state or [], shot.states):
         digest.update(np.array(values, dtype=float).tobytes())
     return digest.hexdigest()
 
