@@ -161,6 +161,9 @@ class MorseOptions:
         box = [tuple(map(float, b)) for b in self.search_box]
         if len(box) != dim:
             raise MorseSpecError(f"search box must have {dim} entries, got {len(box)}")
+        for i, (lo, hi) in enumerate(box):
+            if not lo < hi:  # a reversed or empty entry, or a nan
+                raise MorseSpecError(f"search box entry {i} needs lo < hi, got [{lo}, {hi}]")
         return box
 
 
@@ -236,6 +239,9 @@ class _System:
         self.scales[n:] = 1.0 / spec.q
         self.sqrt_scales = np.sqrt(self.scales)
         self.box = options.box_for(self.dim)
+        self.span = max(hi - lo for lo, hi in self.box)  # Newton's step bound is 10 * span
+        # u.tobytes() -> _newton_step(self, u): each iterate is solved once
+        self.newton_steps: dict[bytes, tuple] = {}
         # (axis, lo, hi) of every coordinate the box bounds; the angles
         # x1..xn of the torus are compact
         self.bounded_axes = [
@@ -324,28 +330,45 @@ def _newton_seeds(system: _System) -> list[np.ndarray]:
     return [np.array(seed) for seed in itertools.product(*grids)]
 
 
-def _newton(system: _System, seed: np.ndarray) -> Optional[np.ndarray]:
-    """The critical point Newton reaches from seed, or None if it diverges,
-    leaves the search span, or meets a point where H_q cannot be evaluated
-    (an overflow, a division by zero or a domain error)."""
-    opts = system.options
-    u = np.array(seed, dtype=float)
-    span = max(hi - lo for lo, hi in system.box)
+def _newton_step(system: _System, u: np.ndarray) -> tuple:
+    """One Newton step from u: (True, u) when u has converged, (True, None)
+    when the gradient is not finite, the step leaves the search span or H_q
+    cannot be evaluated (an overflow, a division by zero or a domain error),
+    else (False, the next iterate)."""
     try:
-        for _ in range(opts.max_newton):
-            g = system.gradient(u)
-            if not all(map(math.isfinite, g)):
-                return None
-            if max(map(abs, g)) <= opts.newton_tol:
-                return u
-            step, *_ = np.linalg.lstsq(system.hessian(u), g, rcond=None)
-            # np.linalg.norm's own formula; a nan or inf norm fails the test
-            if not math.sqrt(step.dot(step)) <= 10 * span:
-                return None
-            u = system.wrap_coords(u - step)
+        g = system.gradient(u)
+        if not all(map(math.isfinite, g)):
+            return True, None
+        if max(map(abs, g)) <= system.options.newton_tol:
+            return True, u
+        step, *_ = np.linalg.lstsq(system.hessian(u), g, rcond=None)
+        # np.linalg.norm's own formula; a nan or inf norm fails the test
+        if not math.sqrt(step.dot(step)) <= 10 * system.span:
+            return True, None
+        v = system.wrap_coords(u - step)
     # np.linalg.LinAlgError is a ValueError
     except (OverflowError, ZeroDivisionError, ValueError):
-        return None
+        return True, None
+    v.flags.writeable = False  # shared by every seed whose path reaches it
+    return False, v
+
+
+def _newton(system: _System, seed: np.ndarray) -> Optional[np.ndarray]:
+    """The critical point Newton reaches from seed within max_newton steps,
+    or None (see _newton_step).  A step depends only on the bits of its
+    iterate, so it is taken from system.newton_steps once any seed has
+    reached that iterate; -0.0 against 0.0 is a miss, never a wrong hit."""
+    steps = system.newton_steps
+    u = np.array(seed, dtype=float)
+    u.flags.writeable = False  # a converged seed is kept in steps too
+    for _ in range(system.options.max_newton):
+        key = u.tobytes()
+        outcome = steps.get(key)
+        if outcome is None:
+            outcome = steps[key] = _newton_step(system, u)
+        done, u = outcome
+        if done:
+            return u
     return None
 
 
@@ -367,6 +390,9 @@ def find_critical_points(
     spec: MorseSpec, options: Optional[MorseOptions] = None
 ) -> list[CriticalPoint]:
     """Newton iteration from every grid seed, deduplicated and index-checked.
+
+    Each distinct Newton iterate is solved once per call: seeds whose paths
+    merge share the steps from there on, with the same bits as alone.
 
     Raises MorseConditionError when a converged point has a Hessian
     eigenvalue within the degeneracy tolerance of zero.

@@ -229,6 +229,15 @@ class TestRun:
             ("morse_s1", {"q": 1.5}, "/q: q must lie in"),
             ("adiabatic_s1", {"adiabatic_q_list": [1.0, 2.0]}, "/adiabatic_q_list/1: q must lie in"),
             ("adiabatic_s1", {"box": [[-2, 2], [-2, 2]]}, "/box: search box must have 4 entries"),
+            # a reversed or zero-width entry leaves Newton no span to step in
+            ("morse_s1", {"box": [[-2, 2], [2, -2], [-2, 2], [-2, 2]]},
+             r"/box: search box entry 1 needs lo < hi, got \[2.0, -2.0\]"),
+            ("morse_s1", {"box": [[-2, 2], [-2, 2], [-2, 2], [1, 1]]},
+             r"/box: search box entry 3 needs lo < hi, got \[1.0, 1.0\]"),
+            ("morse_t2", {"box": [[3, -3], [3, -3]]},
+             r"/box: search box entry 0 needs lo < hi, got \[3.0, -3.0\]"),
+            ("morse_t2", {"box": [[0, 6], [0, 0]]},
+             r"/box: search box entry 1 needs lo < hi, got \[0.0, 0.0\]"),
             ("morse_t2", {"adiabatic_q_list": [1.0, 0.5]}, "needs a nontrivial constraint"),
             # q would be ignored: a run builds one complex per q_list entry
             ("morse_s1", {"q": 0.9}, "/q: .*set q or q_list"),
@@ -240,7 +249,8 @@ class TestRun:
             ("morse_s1", {"t_max": 50.0}, "'t_max' was unexpected"),
         ],
         ids=[
-            "q", "adiabatic_q", "box", "adiabatic_base_only", "q_and_q_list",
+            "q", "adiabatic_q", "box", "box_reversed_plane", "box_zero_width_plane",
+            "box_reversed_torus", "box_zero_width_torus", "adiabatic_base_only", "q_and_q_list",
             "grid", "mesh", "shoot_radius", "capture_radius", "t_max",
         ],
     )

@@ -186,6 +186,24 @@ class TestCriticalPoints:
         indices = sorted(p.index for p in find_critical_points(spec))
         assert indices == [2, 3]
 
+    def test_each_newton_iterate_is_solved_once_per_call(self, monkeypatch):
+        # seeds whose paths merge share the step from then on; the memo of
+        # steps lives for one call, so a second call solves as often
+        seen: list[bytes] = []
+        hessian = _System.hessian
+
+        def recording_hessian(self, u):
+            seen.append(u.tobytes())
+            return hessian(self, u)
+
+        monkeypatch.setattr(_System, "hessian", recording_hessian)
+        find_critical_points(circle_spec())
+        first = len(seen)
+        assert first and len(set(seen)) == first
+        seen.clear()
+        find_critical_points(circle_spec())
+        assert len(seen) == first
+
 
 class TestComplex:
     def test_circle_complex(self):
