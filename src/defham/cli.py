@@ -687,6 +687,10 @@ def run_scenario(scenario_path, out_dir=None) -> int:
         return EXIT_INVALID
 
     out = Path(out_dir) if out_dir else path.parent
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # fail before computing, not after
+    except OSError as err:
+        return _cannot_write(err)
     started = time.perf_counter()
     try:
         checks, artifacts = _RUNNERS[doc["kind"]](doc, parsed)
@@ -702,14 +706,17 @@ def run_scenario(scenario_path, out_dir=None) -> int:
         )
     elapsed = time.perf_counter() - started
 
-    for name, content in artifacts.items():
-        _atomic_write(out / name, content)
     report = {
         "scenario": doc,
         "checks": checks.records,
         "pass": checks.all_pass,
     }
-    _atomic_write(out / "report.json", _json_dumps(report))
+    try:
+        for name, content in artifacts.items():
+            _atomic_write(out / name, content)
+        _atomic_write(out / "report.json", _json_dumps(report))
+    except OSError as err:
+        return _cannot_write(err)
 
     for record in checks.records:
         status = "PASS" if record["pass"] else "FAIL"
@@ -719,6 +726,12 @@ def run_scenario(scenario_path, out_dir=None) -> int:
         )
     print(f"wall time: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_PASS if checks.all_pass else EXIT_CHECK_FAILURE
+
+
+def _cannot_write(err: OSError) -> int:
+    """An output that cannot be written is a usage error, not a failed check."""
+    print(f"error: cannot write: {err}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def validate_command(scenario_path) -> int:

@@ -293,22 +293,43 @@ class _System:
 
         v may be a stack of points, one per row.
         """
-        return self.wrap_displacement(np.subtract(v, u, dtype=float))
-
-    def wrap_displacement(self, d: np.ndarray) -> np.ndarray:
-        """Reduce the angles of d to (-pi, pi] in place; d is contiguous, its
-        points one per row or end to end."""
+        d = np.subtract(v, u, dtype=float)
         if self.wrap:
-            angles = d.reshape(-1, self.dim)[:, : self.spec.n]
+            angles = d[..., : self.spec.n]
             angles[...] = (angles + math.pi) % TWO_PI - math.pi
         return d
 
-    def in_box(self, u, margin: float = 0.5) -> bool:
-        for axis, lo, hi in self.bounded_axes:
-            value = u[axis]
-            if value < lo - margin or value > hi + margin:
-                return False
-        return True
+    @functools.cached_property
+    def squared_distance(self) -> Callable[[list, list], float]:
+        """(z, t) -> the squared length of displacement(t, z) on Python floats,
+        generated once.  Each component is that of the NumPy row bit for bit
+        (-, + pi, % and - pi are the same IEEE operations); the squares are
+        summed left to right, where distance takes the BLAS ddot."""
+        axes = range(self.dim)
+        lines = [
+            "def squared_distance(z, t):",
+            "    " + ", ".join(f"z{i}" for i in axes) + ", = z",
+            "    " + ", ".join(f"t{i}" for i in axes) + ", = t",
+        ]
+        for i in axes:
+            d = f"z{i} - t{i}"
+            if self.wrap and i < self.spec.n:
+                d = f"({d} + {math.pi!r}) % {TWO_PI!r} - {math.pi!r}"
+            lines.append(f"    d{i} = {d}")
+        lines.append("    return " + " + ".join(f"d{i} * d{i}" for i in axes))
+        return ex.define("\n".join(lines) + "\n", "squared_distance", __name__)
+
+    @functools.cached_property
+    def in_box(self) -> Callable[..., bool]:
+        """in_box(u, margin=0.5): False when a bounded coordinate of u lies
+        more than margin outside the box (a nan coordinate counts as inside),
+        generated once as straight-line comparisons."""
+        outside = " or ".join(
+            f"u[{axis}] < {lo!r} - margin or u[{axis}] > {hi!r} + margin"
+            for axis, lo, hi in self.bounded_axes
+        )
+        source = f"def in_box(u, margin=0.5):\n    return not ({outside or 'False'})\n"
+        return ex.define(source, "in_box", __name__)
 
     def phase_point(self, u: np.ndarray) -> PhasePoint:
         z = np.zeros(2 * self.spec.n)  # y = 0 in base-only mode
@@ -500,6 +521,12 @@ _SEPARATRIX_REL_TOL = 1e-12
 _REFINE_GATE = 0.5
 
 
+# the band of _shoot's float sums: (1 + gamma_d)**2 / (1 - gamma_d)**2 < _BAND
+# for any dimension d below 2**11, and _TINY covers squares that underflow
+_BAND = 1.0 + 2.0**-40
+_TINY = 2.0**-1000
+
+
 class _Stop(Exception):
     """Ends a shot from inside its observer."""
 
@@ -531,33 +558,47 @@ def _shoot(
     abs_tol: float,
     keep_states: bool = False,
 ) -> _ShotResult:
+    """One RKF45 shot from start until it enters the capture ball of a target
+    (checked in target order each step), leaves the box or times out.
+
+    min_dist[i] is the least system.distance (a BLAS ddot) from a state to
+    target i, but each step sums its squared distances left to right on
+    Python floats.  Both sums of the d terms, all >= 0, lie within
+    gamma_d = d*u / (1 - d*u) (u = 2**-53) of the exact sum, whatever order
+    the BLAS sums in and with or without fused multiply-adds; squares that
+    underflow add at most d * 2**-1075.  So only a state whose float sum lies
+    within _BAND (plus _TINY) of the least one can hold the least ddot, and
+    only one within _BAND of delta**2 can be captured.  The ddot is taken
+    for those states alone: at once for a possible capture, and at the end
+    of the shot for min_dist.
+    """
     opts = system.options
     delta = opts.capture_radius
     result = _ShotResult("timeout", None, [math.inf] * len(targets), [])
-    best, copies = result.min_dist, len(targets)
-    # one buffer for the displacements to all targets; a row's ddot is system.distance's
-    goals = np.array(targets, dtype=float).reshape(-1)
-    flat = np.empty(goals.size)
-    rows = list(flat.reshape(copies, system.dim))
+    squared, in_box = system.squared_distance, system.in_box
+    goals = [np.asarray(t, dtype=float).tolist() for t in targets]
+    cap = delta * delta * _BAND + _TINY
+    low = [math.inf] * len(goals)  # least float sum per target
+    gate = [math.inf] * len(goals)  # max(band edge of low, cap)
+    near: list[list] = [[] for _ in goals]  # (sum, state) under the gate
 
     def observe(t, z):
         # the integrator hands over a new list each step, so z is kept as is
         result.last_state = z
         if keep_states:
             result.states.append(np.array(z))
-        d = flat  # a local name for the in-place -=
-        d[:] = z * copies
-        d -= goals
-        system.wrap_displacement(d)
-        for idx, row in enumerate(rows):
-            dist = math.sqrt(row.dot(row))
-            if dist < best[idx]:
-                best[idx] = dist
-            if dist < delta:
-                result.outcome = "captured"
-                result.target = idx
-                raise _Stop
-        if not system.in_box(z):
+        for idx, goal in enumerate(goals):
+            s = squared(z, goal)
+            if s <= gate[idx]:
+                near[idx].append((s, z))
+                if s < low[idx]:
+                    low[idx] = s
+                    gate[idx] = max(s * _BAND + _TINY, cap)
+                if s <= cap and system.distance(z, targets[idx]) < delta:
+                    result.outcome = "captured"
+                    result.target = idx
+                    raise _Stop
+        if not in_box(z):
             result.outcome = "escaped"
             raise _Stop
 
@@ -569,6 +610,13 @@ def _shoot(
         pass
     except IntegrationError:
         result.outcome = "escaped"
+    for idx, states in enumerate(near):
+        edge = low[idx] * _BAND + _TINY
+        for s, z in states:
+            if s <= edge:
+                dist = system.distance(z, targets[idx])
+                if dist < result.min_dist[idx]:
+                    result.min_dist[idx] = dist
     return result
 
 
@@ -942,7 +990,7 @@ def homology_ranks(complex_: MorseComplex) -> dict[int, int]:
         r_in = mod2_rank(complex_.boundary[m]) if m in complex_.boundary else 0
         r_out = mod2_rank(complex_.boundary[m + 1]) if m + 1 in complex_.boundary else 0
         ranks[m] = dim - r_in - r_out
-    return {m: r for m, r in ranks.items() if r != 0 or m in complex_.generators}
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from defham import cli
 from defham import dynamics as dyn
 from defham import expr as ex
 from defham import morse
@@ -198,6 +199,25 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_scenario(bad, tmp_path) == EXIT_INVALID
+
+    @pytest.mark.parametrize("out_dir", ["F", "F/sub"])
+    def test_output_directory_that_cannot_be_made_exits_two(
+        self, tmp_path, capsys, monkeypatch, out_dir
+    ):
+        # F is a file; the directory is refused before any computation
+        path = write_doc(tmp_path, classify_doc())
+        (tmp_path / "F").write_text("")
+        monkeypatch.setitem(cli._RUNNERS, "classify", None)  # not called
+        assert main(["run", str(path), "--out-dir", str(tmp_path / out_dir)]) == EXIT_INVALID
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write: ")
+
+    def test_artifact_that_cannot_be_written_exits_two(self, tmp_path, capsys):
+        path = write_doc(tmp_path, classify_doc())
+        (tmp_path / "report.json").mkdir()
+        assert run_scenario(path, tmp_path) == EXIT_INVALID
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write: ") and "report.json" in line
 
     def test_main_entry_point(self, tmp_path):
         path = write_doc(tmp_path, classify_doc())

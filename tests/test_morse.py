@@ -435,6 +435,94 @@ class TestShotObserver:
         assert len(hashes) >= 50
         assert all(got == want for got, want in hashes)
 
+    def test_keep_states_shots_equal_the_reference(self, monkeypatch):
+        # adiabatic_deviation keeps the states of its shots and widens the
+        # capture radius to 0.15
+        shoot, hashes = morse._shoot, []
+
+        def both(system, start, targets, rel_tol, abs_tol, keep_states=False):
+            got = shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+            want = _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+            hashes.append((keep_states, _shot_hash(start, got), _shot_hash(start, want)))
+            return got
+
+        monkeypatch.setattr(morse, "_shoot", both)
+        adiabatic_deviation(inside_z_spec(), [1.0, 0.5])
+        assert len(hashes) >= 50 and all(keep for keep, _, _ in hashes)
+        assert all(got == want for _, got, want in hashes)
+
+
+def _plane_system(d):
+    """The base-only system of |x|^2 on the plane of dimension d."""
+    f = ex.parse(" + ".join(f"x{i}^2" for i in range(1, d + 1)), d)
+    zero = ex.parse("0", d)
+    return _System(MorseSpec(d, f, [zero] * d, zero), MorseOptions())
+
+
+def _replayed_shot(monkeypatch, system, targets, states):
+    """_shoot whose integrator hands the observer each of states in turn."""
+
+    def replay(rhs, start, t_final, rel_tol, abs_tol, stride, observe):
+        for z in states:
+            observe(0.0, list(z))
+
+    monkeypatch.setattr(morse, "rkf45_path", replay)
+    return morse._shoot(system, np.array(states[0]), targets, 1e-9, 1e-11)
+
+
+def _on_sphere(rng, d, radius):
+    """A random point of float64 norm about radius, as a list of floats."""
+    v = rng.normal(size=d)
+    return (v * (radius / np.linalg.norm(v))).tolist()
+
+
+class TestShotObserverCertificate:
+    """The observer's float sums pick the states that need a ddot; these
+    replayed shots are built where float sums and ddot disagree."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_min_dist_is_the_least_ddot(self, monkeypatch, rng, d):
+        system, disagree = _plane_system(d), 0
+        for _ in range(500):
+            # squared distances to the origin all within a few ulps of 1.69
+            states = [_on_sphere(rng, d, 1.3) for _ in range(12)]
+            targets = [np.zeros(d), rng.uniform(-1.0, 1.0, d)]
+            shot = _replayed_shot(monkeypatch, system, targets, states)
+            want = [min(system.distance(np.array(z), t) for z in states) for t in targets]
+            assert shot.outcome == "timeout" and _bits(shot.min_dist) == _bits(want)
+            # no state of least left-to-right float sum has the least ddot
+            sums = [sum(x * x for x in z) for z in states]
+            ties = [np.array(z) for z, s in zip(states, sums) if s == min(sums)]
+            disagree += min(math.sqrt(z.dot(z)) for z in ties) != want[0]
+        assert disagree  # not vacuous
+
+    def test_capture_within_one_ulp_of_delta(self, monkeypatch, rng):
+        # a state at ddot distance delta from the origin is not captured
+        # though its float distance is below delta; the next, one ulp inside,
+        # is captured though its float distance is not
+        system = _plane_system(4)
+        delta = system.options.capture_radius
+        inside, on = None, None
+        for _ in range(20_000):
+            z = _on_sphere(rng, 4, delta)
+            dist, float_dist = math.sqrt(np.dot(z, z)), math.sqrt(sum(x * x for x in z))
+            if dist == math.nextafter(delta, 0.0) and float_dist >= delta:
+                inside = z
+            elif dist == delta and float_dist < delta:
+                on = z
+            if inside and on:
+                break
+        assert inside and on
+        # target 0 comes first and is nearest to the capture step; the state
+        # after that step sits on target 0 and is never observed
+        targets = [3.0 * np.array(inside), np.zeros(4)]
+        states = [[0.5, 0.25, 0.0, 0.0], on, inside, targets[0].tolist()]
+        shot = _replayed_shot(monkeypatch, system, targets, states)
+        assert (shot.outcome, shot.target, shot.last_state) == ("captured", 1, inside)
+        want = [system.distance(np.array(inside), targets[0]), math.nextafter(delta, 0.0)]
+        assert want[0] == min(system.distance(np.array(z), targets[0]) for z in states[:3])
+        assert _bits(shot.min_dist) == _bits(want)
+
 
 class TestRhsCounting:
     def test_one_jet_gradient_per_rhs_call(self, monkeypatch):
