@@ -356,9 +356,14 @@ def _parse_or_raise(text: str, n: int, where: str) -> ex.Node:
 
 
 def _atomic_write(path: Path, content: str) -> None:
+    """Write path through a temporary file and a rename, with the mode that
+    open(path, "w") would give it: 0o666 less the umask, not mkstemp's 0o600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)

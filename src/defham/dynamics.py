@@ -9,16 +9,24 @@ the phase module.  Flows are integrated with a fixed-step classical RK4 or
 an adaptive Fehlberg RKF45; the Jacobian of the flow map is co-integrated
 from the exact symbolic Hessian of H.
 
-Both integrators are straight-line loops generated once per state length
-(_rk4_loop, _rkf45_loop) on lists of Python floats.  A flow's rhs is
-the field compiled once per (H, q) (HamiltonianField.compiled_field);
-field_from_gradient stays the pointwise form for single evaluations.
+Both integrators are straight-line loops on lists of Python floats, each
+from one generator (_rk4_loop, _rkf45_loop) whose only fork is how a stage
+is written.  A flow's rhs is the field compiled once per (H, q)
+(HamiltonianField.compiled_field, from expr.compile_scaled); it carries its
+(scale, derivative) terms, so the path functions run it in a fused loop,
+generated once per rhs, whose stages compute those terms inline.  Any other
+rhs (the variational rhs, a wrapper such as a tracer's counting one) runs in
+the generic loop, generated once per state length, which calls it once per
+stage.  Both do the same operations in the same order, so they give the
+same path bit for bit.  field_from_gradient stays the pointwise form for
+single evaluations.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -177,20 +185,36 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
 # torus reduction happens only when samples are stored.
 
 
-@functools.lru_cache(maxsize=None)
-def _rk4_loop(d: int) -> Callable:
-    """Compiled RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``.
+def _stage(ks: str, args: Optional[list], terms: Optional[tuple]) -> list:
+    """The lines that set the stage values ``ks`` (e.g. ``a_0, a_1``) from the
+    rhs at the state (args None) or at the argument sources ``args``.
+    Generic: one call, ``rhs(z)`` on the state list or ``rhs([...])``.
+    Fused, given the rhs's terms: the arguments s_i, then each entry
+    ``c * (e)`` on them (or on z_i), inline: the operations of the call, in
+    its order."""
+    indent = "            "
+    if terms is None:
+        return [f"{indent}{ks}, = rhs({'z' if args is None else '[' + ', '.join(args) + ']'})"]
+    lines = [] if args is None else [f"{indent}s_{i} = {a}" for i, a in enumerate(args)]
+    entries = ex.scaled_entries(terms, "z_{}" if args is None else "s_{}")
+    return lines + [f"{indent}{k} = {v}" for k, v in zip(ks.split(", "), entries)]
+
+
+def _rk4_loop(d: int, terms: Optional[tuple] = None) -> Callable:
+    """RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i:
     stage arguments ``z_i + half*k_i`` and ``z_i + h*k_i``, and the update
     ``z_i + sixth*(((a_i + 2.0*b_i) + 2.0*c_i) + e_i)``, the rounding of the
-    array form on float64.
+    array form on float64.  Each step makes a new state list z, which the
+    first stage of the next step gets.  Given the rhs's terms the stages are
+    fused (_stage) and the loop never calls its rhs.
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
 
     def stage(k, scale, prev):
-        args = ", ".join(f"z_{i} + {scale} * {prev}_{i}" for i in range(d)) if prev else zs
-        return f"            {zs.replace('z_', k + '_')}, = rhs([{args}])"
+        args = [f"z_{i} + {scale} * {prev}_{i}" for i in range(d)] if prev else None
+        return _stage(zs.replace("z_", k + "_"), args, terms)
 
     lines = [
         "def loop(rhs, z, nsteps, h, stride, observe):",
@@ -199,38 +223,65 @@ def _rk4_loop(d: int) -> Callable:
         f"    {zs}, = z",
         "    for k in range(1, nsteps + 1):",
         "        try:",
-        stage("a", "", ""),
-        stage("b", "half", "a"),
-        stage("c", "half", "b"),
-        stage("e", "h", "c"),
+        *stage("a", "", ""),
+        *stage("b", "half", "a"),
+        *stage("c", "half", "b"),
+        *stage("e", "h", "c"),
         "        except non_finite as err:",
         '            raise IntegrationError("solution blew up", k * h) from err',
         *(f"        z_{i} = z_{i} + sixth * (((a_{i} + 2.0 * b_{i}) + 2.0 * c_{i}) + e_{i})"
           for i in range(d)),
         f"        if not ({' and '.join(f'isfinite(z_{i})' for i in range(d))}):",
         '            raise IntegrationError("solution blew up", k * h)',
+        f"        z = [{zs}]",
         "        if k % stride == 0 or k == nsteps:",
-        f"            observe(k * h, [{zs}])",
-        f"    return [{zs}]",
+        "            observe(k * h, z)",
+        "    return z",
     ]
     return ex.define("\n".join(lines) + "\n", "loop", __name__, isfinite=math.isfinite,
                      non_finite=_NON_FINITE, IntegrationError=IntegrationError)
 
 
+@functools.lru_cache(maxsize=None)
+def _generic_loop(generator: Callable, d: int) -> Callable:
+    """The loop of ``generator`` for any rhs on states of length d."""
+    return generator(d)
+
+
+# rhs -> {generator: its fused loop}, generated when a path first takes that
+# rhs.  A loop does not refer to its rhs, so an entry goes with the rhs.
+_FUSED: "weakref.WeakKeyDictionary[Callable, dict]" = weakref.WeakKeyDictionary()
+
+
+def _loop(generator: Callable, rhs: Callable, d: int) -> Callable:
+    """The loop of ``generator`` (_rk4_loop or _rkf45_loop) for ``rhs``:
+    fused if rhs carries its terms (expr.scaled_terms), else the generic
+    loop that calls rhs, for states of length d."""
+    terms = ex.scaled_terms(rhs)
+    if terms is None:
+        return _generic_loop(generator, d)
+    loops = _FUSED.setdefault(rhs, {})
+    if generator not in loops:
+        loops[generator] = generator(len(terms), terms)
+    return loops[generator]
+
+
 def rk4_path(rhs, z0, t_final, step, stride, observe):
     """Classical RK4 with a fixed step of about ``step`` over [0, t_final].
 
-    The state is a list of Python floats.  The steps run in a straight-line
-    loop generated once per state length (_rk4_loop, like _rkf45_loop) and
-    round exactly as the array form on float64 does.  A stage that raises
-    OverflowError, ZeroDivisionError or ValueError (where float64 gives inf
-    or nan), or a non-finite step, raises IntegrationError.  Flows pass
-    HamiltonianField.compiled_field.
+    The state is a list of Python floats.  The steps run in a generated
+    straight-line loop (_rk4_loop) and round exactly as the array form on
+    float64 does.  A stage that raises OverflowError, ZeroDivisionError or
+    ValueError (where float64 gives inf or nan), or a non-finite step,
+    raises IntegrationError.  Flows pass HamiltonianField.compiled_field,
+    which carries its terms, so it runs in the loop fused for it; any other
+    rhs, a wrapper of it included, runs in the generic loop, which calls it
+    4 times a step so that a wrapper sees every stage (_loop).
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
     observe(0.0, z)
-    return _rk4_loop(len(z))(rhs, z, nsteps, t_final / nsteps, stride, observe)
+    return _loop(_rk4_loop, rhs, len(z))(rhs, z, nsteps, t_final / nsteps, stride, observe)
 
 
 # Fehlberg 4(5) tableau.
@@ -273,9 +324,8 @@ def _numpy_sum_source(terms: list[str]) -> str:
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _rkf45_loop(d: int) -> Callable:
-    """Compiled RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``.
+def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
+    """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i.
     Each component is computed in the order of the array form of the scheme,
@@ -290,7 +340,8 @@ def _rkf45_loop(d: int) -> Callable:
     rhs raises OverflowError, ZeroDivisionError or ValueError is set to nan,
     as inf or nan would spread through the array form.  The first stage of
     an attempt gets the state list itself, which a rejected attempt reuses;
-    an accepted step makes a new list.
+    an accepted step makes a new list.  Given the rhs's terms the stages are
+    fused (_stage) and the loop never calls its rhs.
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
@@ -301,11 +352,11 @@ def _rkf45_loop(d: int) -> Callable:
             total = f"({total} + {c!r} * k{j}_{i})"
         return f"z_{i} + h * {total}"
 
-    def stage(j, arg):
+    def stage(j, args):
         ks = zs.replace("z_", f"k{j}_")
         return [
             "        try:",
-            f"            {ks}, = rhs({arg})",
+            *_stage(ks, args, terms),
             "        except non_finite:",
             f"            {ks.replace(', ', ' = ')} = nan",
         ]
@@ -321,9 +372,9 @@ def _rkf45_loop(d: int) -> Callable:
         "        if h < 1e-14 * (r if r > 1.0 else 1.0):",
         '            raise IntegrationError("step size underflow (stiff blow-up)", t)',
     ]
-    lines += stage(0, "z")
+    lines += stage(0, None)
     for j, row in enumerate(_RKF_A[1:], start=1):
-        lines += stage(j, "[" + ", ".join(combination(row, i) for i in comps) + "]")
+        lines += stage(j, [combination(row, i) for i in comps])
     for name, row in (("y", _RKF_B5), ("w", _RKF_B4)):
         lines += [f"        {name}_{i} = {combination(row, i)}" for i in comps]
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
@@ -364,10 +415,15 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     OverflowError, ZeroDivisionError or ValueError.  Such a stage counts as
     non-finite: the step is quartered and retried, so a blow-up still ends
     in IntegrationError once the step underflows.
+
+    An rhs that carries its terms (expr.compile_scaled, the Morse rhs) runs
+    in the loop fused for it; any other rhs, a wrapper of one included,
+    runs in the generic loop, which calls it 6 times an attempt so that a
+    wrapper sees every stage (_loop).
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
-    loop = _rkf45_loop(len(z))
+    loop = _loop(_rkf45_loop, rhs, len(z))
     return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, observe)
 
 

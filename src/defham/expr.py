@@ -14,7 +14,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ __all__ = [
     "compile_scalar",
     "compile_vector",
     "compile_scaled",
+    "coordinate_names",
+    "scaled_entries",
+    "register_scaled",
+    "scaled_terms",
     "define",
     "JetEvaluator",
 ]
@@ -434,36 +438,37 @@ def _prec(e: Node) -> int:
     return _PREC_ATOM
 
 
-def _wrap(e: Node, minimum: int, python: bool) -> str:
-    s = to_text(e, python)
+def _wrap(e: Node, minimum: int, names: Optional[Sequence[str]]) -> str:
+    s = to_text(e, names)
     return f"({s})" if _prec(e) < minimum else s
 
 
-def to_text(e: Node, python: bool = False) -> str:
-    """The text of ``e``; with ``python``, the Python source of its value at
-    z, which differs only in writing x1 as ``z[0]`` and ``^`` as ``**``
-    (Python's ``**`` and unary ``-`` bind as ``^`` and ``-`` do here)."""
+def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
+    """The text of ``e``; given ``names``, the Python source of its value,
+    which differs only in writing the coordinate of index i (x1..xn, then
+    y1..yn, from 0) as ``names[i]`` and ``^`` as ``**`` (Python's ``**``
+    and unary ``-`` bind as ``^`` and ``-`` do here)."""
     if isinstance(e, Const):
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(e, Var):
-        if python:
-            return f"z[{(0 if e.kind == 'x' else e.n) + e.index - 1}]"
+        if names is not None:
+            return names[(0 if e.kind == "x" else e.n) + e.index - 1]
         return f"{e.kind}{e.index}"
     if isinstance(e, Add):
-        return f"{_wrap(e.a, _PREC_ADD, python)} + {_wrap(e.b, _PREC_ADD + 1, python)}"
+        return f"{_wrap(e.a, _PREC_ADD, names)} + {_wrap(e.b, _PREC_ADD + 1, names)}"
     if isinstance(e, Sub):
-        return f"{_wrap(e.a, _PREC_ADD, python)} - {_wrap(e.b, _PREC_ADD + 1, python)}"
+        return f"{_wrap(e.a, _PREC_ADD, names)} - {_wrap(e.b, _PREC_ADD + 1, names)}"
     if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL, python)}*{_wrap(e.b, _PREC_MUL + 1, python)}"
+        return f"{_wrap(e.a, _PREC_MUL, names)}*{_wrap(e.b, _PREC_MUL + 1, names)}"
     if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL, python)}/{_wrap(e.b, _PREC_MUL + 1, python)}"
+        return f"{_wrap(e.a, _PREC_MUL, names)}/{_wrap(e.b, _PREC_MUL + 1, names)}"
     if isinstance(e, Neg):
-        return f"-{_wrap(e.a, _PREC_NEG, python)}"
+        return f"-{_wrap(e.a, _PREC_NEG, names)}"
     if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM, python)}{'**' if python else '^'}{e.exponent}"
+        return f"{_wrap(e.base, _PREC_ATOM, names)}{'^' if names is None else '**'}{e.exponent}"
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg, python)})"
+        return f"{e.func}({to_text(e.arg, names)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -615,23 +620,61 @@ def define(source: str, name: str, module: str, **env) -> Callable:
     return namespace.pop(name)
 
 
+@functools.lru_cache(maxsize=None)
+def coordinate_names(pattern: str, n: int) -> tuple[str, ...]:
+    """``pattern`` formatted with 0 .. 2n-1: the names that to_text gives the
+    coordinates of dimension n, e.g. ``z[0]`` .. in a function of z."""
+    return tuple(pattern.format(i) for i in range(2 * n))
+
+
 def compile_scalar(e: Node) -> Callable[[Sequence[float]], float]:
     """Compile an expression to a fast float-valued function of z[0:2n]."""
-    return define(f"def _f(z):\n    return {to_text(e, True)}\n", "_f", __name__)
+    source = to_text(e, coordinate_names("z[{}]", e.n))
+    return define(f"def _f(z):\n    return {source}\n", "_f", __name__)
 
 
 def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
-    body = ", ".join(to_text(e, True) for e in exprs)
+    body = ", ".join(to_text(e, coordinate_names("z[{}]", e.n)) for e in exprs)
     return define(f"def _f(z):\n    return ({body},)\n", "_f", __name__)
+
+
+def scaled_entries(terms: Iterable[tuple[float, Node]], pattern: str) -> list[str]:
+    """The source ``c * (e)`` of each entry of ``terms``, rounding as c times
+    the compiled e (``-1.0 * (0)`` is -0.0), its coordinates named by
+    ``pattern`` (see coordinate_names)."""
+    return [f"{c!r} * ({to_text(e, coordinate_names(pattern, e.n))})" for c, e in terms]
+
+
+# A function -> the (scale, expression) terms it computes as
+# [c * e(z) for c, e in terms], for loops that inline them.  Keyed by the
+# function itself, so a wrapper of it has no terms; an entry goes with its
+# function.
+_SCALED_TERMS: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
+
+
+def register_scaled(f: Callable, terms: Iterable[tuple[float, Node]]) -> Callable:
+    """Record that ``f(z)`` is ``[c * e(z) for c, e in terms]`` with the
+    rounding of scaled_entries, and return f."""
+    _SCALED_TERMS[f] = tuple(terms)
+    return f
+
+
+def scaled_terms(f: Callable) -> Optional[tuple]:
+    """The terms register_scaled recorded for ``f`` itself, else None."""
+    try:
+        return _SCALED_TERMS.get(f)
+    except TypeError:  # f cannot be weakly referenced, so it was never registered
+        return None
 
 
 def compile_scaled(
     terms: Iterable[tuple[float, Node]], module: str
 ) -> Callable[[Sequence[float]], list]:
-    """Compile ``z -> [c * e(z) for c, e in terms]``, each entry ``c * (e)`` rounding as
-    c times the compiled e (``-1.0 * (0)`` is -0.0); ``module`` is its ``__module__``."""
-    body = ", ".join(f"{c!r} * ({to_text(e, True)})" for c, e in terms)
-    return define(f"def _f(z):\n    return [{body}]\n", "_f", module)
+    """Compile ``z -> [c * e(z) for c, e in terms]`` (scaled_entries), which
+    carries its terms (scaled_terms); ``module`` is its ``__module__``."""
+    terms = tuple(terms)
+    body = ", ".join(scaled_entries(terms, "z[{}]"))
+    return register_scaled(define(f"def _f(z):\n    return [{body}]\n", "_f", module), terms)
 
 
 def _variable_list(n: int) -> list[tuple[str, int]]:

@@ -264,12 +264,17 @@ class _System:
     def rhs(self) -> Callable[[list], list]:
         """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats,
         generated once: ``[c_i * g_i]`` over the first self.dim entries of
-        ``jet.gradient(u)`` (a base-only gradient holds zeros past them),
-        looked up per call so a wrapper patched on the class sees each one."""
+        ``jet.gradient(u)`` (a base-only gradient holds constant zeros past
+        them).  It carries its terms (c_i, i-th derivative), so rkf45_path
+        inlines them in a fused loop; only the generic loop, which a wrapped
+        rhs takes, calls jet.gradient, looked up per call so that a wrapper
+        patched on the class sees each one."""
         g = [f"g{i}" for i in range(len(self.jet.derivatives))]
-        scaled = ", ".join(f"{c!r} * {v}" for c, v in zip((-self.scales).tolist(), g))
+        scales = (-self.scales).tolist()
+        scaled = ", ".join(f"{c!r} * {v}" for c, v in zip(scales, g))
         source = f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n"
-        return ex.define(source, "rhs", __name__, jet=self.jet)
+        rhs = ex.define(source, "rhs", __name__, jet=self.jet)
+        return ex.register_scaled(rhs, zip(scales, self.jet.derivatives))
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -319,17 +324,27 @@ class _System:
         lines.append("    return " + " + ".join(f"d{i} * d{i}" for i in axes))
         return ex.define("\n".join(lines) + "\n", "squared_distance", __name__)
 
-    @functools.cached_property
-    def in_box(self) -> Callable[..., bool]:
-        """in_box(u, margin=0.5): False when a bounded coordinate of u lies
-        more than margin outside the box (a nan coordinate counts as inside),
-        generated once as straight-line comparisons."""
+    def _box_test(self, margin: float) -> Callable[[Sequence[float]], bool]:
+        """u -> False when a bounded coordinate of u lies more than margin
+        outside the box (a nan coordinate counts as inside), generated as
+        straight-line comparisons with lo - margin and hi + margin folded
+        into constants, the same doubles."""
         outside = " or ".join(
-            f"u[{axis}] < {lo!r} - margin or u[{axis}] > {hi!r} + margin"
+            f"u[{axis}] < {lo - margin!r} or u[{axis}] > {hi + margin!r}"
             for axis, lo, hi in self.bounded_axes
         )
-        source = f"def in_box(u, margin=0.5):\n    return not ({outside or 'False'})\n"
-        return ex.define(source, "in_box", __name__)
+        return ex.define(f"def in_box(u):\n    return not ({outside or 'False'})\n",
+                         "in_box", __name__)
+
+    @functools.cached_property
+    def in_box(self) -> Callable[[Sequence[float]], bool]:
+        """The box test of the shots: margin 0.5."""
+        return self._box_test(0.5)
+
+    @functools.cached_property
+    def in_search_box(self) -> Callable[[Sequence[float]], bool]:
+        """The box test of Newton's points: margin 1e-6."""
+        return self._box_test(1e-6)
 
     def phase_point(self, u: np.ndarray) -> PhasePoint:
         z = np.zeros(2 * self.spec.n)  # y = 0 in base-only mode
@@ -429,7 +444,7 @@ def find_critical_points(
             if u is None:
                 continue
             u = system.wrap_coords(u)
-            if not system.in_box(u, margin=1e-6):
+            if not system.in_search_box(u):
                 continue
             if any(system.distance(u, v) <= options.dedupe_distance for v in found):
                 continue

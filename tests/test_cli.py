@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,19 @@ class TestRun:
         assert run_scenario(path, tmp_path) == EXIT_INVALID
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot write: ") and "report.json" in line
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_artifacts_honour_the_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") would give, through the atomic rename
+        path = write_doc(tmp_path, classify_doc())
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert run_scenario(path, out) == EXIT_PASS
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == {"classification.json": mode, "report.json": mode}
 
     def test_main_entry_point(self, tmp_path):
         path = write_doc(tmp_path, classify_doc())

@@ -5,7 +5,10 @@ Oracles: closed-form solutions of the linear conformal model H = x1*y1
 harmonic oscillator at q = 1, and Runge-Kutta order measured by step halving.
 """
 
+import functools
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +36,7 @@ from defham.phase import PhasePoint, wrap_angles
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point
 from test_expr import N_RANDOM, RANDOM_TREES
-from test_morse import circle_spec
+from test_morse import SYSTEMS, circle_spec
 
 OSC = "(x1^2 + y1^2)/2"
 
@@ -448,6 +451,212 @@ class TestRKF45Attempts:
         assert len(path) - 1 == accepted
         assert calls == ref_calls
         assert repeats == ref_calls // 6 - accepted == 10
+
+
+def _observed(path, rhs, z0, *args):
+    """The (t, state bytes) samples a path observes, and its IntegrationError
+    as (message, t, type of its cause), or None."""
+    seen = []
+    try:
+        path(rhs, list(z0), *args, lambda t, z: seen.append((t, np.array(z).tobytes())))
+    except IntegrationError as err:
+        return seen, (str(err), err.t, type(err.__cause__))
+    return seen, None
+
+
+def _fused_and_generic(path, rhs, z0, *args):
+    """The observed paths of the fused loop of a compiled rhs and of the
+    generic loop, which a plain closure around it takes."""
+    fused = _observed(path, rhs, z0, *args)
+    assert ex.scaled_terms(rhs) is not None and rhs in dynamics._FUSED
+    return fused, _observed(path, lambda z: rhs(z), z0, *args)
+
+
+class TestFusedLoop:
+    """A compiled rhs (expr.compile_scaled, _System.rhs) runs in a loop that
+    inlines its terms; the loop must round as the generic loop that calls it."""
+
+    @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+    def test_morse_paths_match_the_generic_loop(self, name, make, q):
+        # the circle at q = 1 and 1/4 (d = 4) and the torus (d = 2, trig terms)
+        system = _System(make(q), MorseOptions())
+        starts = [[0.03, 1.02, -0.5, 0.04], [-0.02, 0.99, 0.51, -0.03]]
+        if system.dim == 2:
+            starts = [[0.02, 0.03], [3.1, 0.05]]
+        for z0 in starts:
+            fused, generic = _fused_and_generic(rkf45_path, system.rhs, z0, 30.0, 1e-10, 1e-12, 1)
+            assert len(fused[0]) > 50
+            assert fused == generic
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    @pytest.mark.parametrize(
+        "text, n, q, z0",
+        [
+            (OSC, 1, 2.0 / 3.0, [1.0, 2.0]),
+            ("y1^2/2 + (1 - cos(x1)) + x1^3/5", 1, 1 / 3, [0.9, -0.4]),
+            ("y1^2/2 + y2^2/2 + (1 - cos(x1)) + x1*x2^2/4 - x2*y1/3", 2, 0.5, [0.7, -0.4, 0.3, 0.9]),
+        ],
+    )
+    def test_flow_paths_match_the_generic_loop(self, integrator, text, n, q, z0):
+        rhs = HamiltonianField(ex.parse(text, n), q).compiled_field
+        if integrator == "rk4":
+            fused, generic = _fused_and_generic(dynamics.rk4_path, rhs, z0, 2.0, 1e-3, 1)
+        else:
+            fused, generic = _fused_and_generic(rkf45_path, rhs, z0, 2.0, 1e-10, 1e-12, 1)
+        assert len(fused[0]) > 50 and fused[1] is None
+        assert fused == generic
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_integer_constant_derivative_keeps_its_sign(self, integrator):
+        # dH/dx1 = 0 compiles to -1.0 * (0), which is -0.0; RK4's update adds
+        # it to y1 = -0.0, so y1 stays -0.0 (RKF45's stage sums start at 0.0)
+        rhs = HamiltonianField(ex.parse("y1^2/2 + 3*y1", 1), 0.5).compiled_field
+        z0 = [0.25, -0.0]
+        if integrator == "rk4":
+            fused, generic = _fused_and_generic(dynamics.rk4_path, rhs, z0, 1.0, 1e-2, 1)
+            assert {math.copysign(1.0, np.frombuffer(z)[1]) for _, z in fused[0]} == {-1.0}
+        else:
+            fused, generic = _fused_and_generic(rkf45_path, rhs, z0, 1.0, 1e-10, 1e-12, 1)
+        assert fused == generic
+
+    @pytest.mark.parametrize(
+        "integrator, text, z0, args, error",
+        [
+            ("rk4", "y1*x1^2", [1.0, 0.0], (2.0, 1e-3, 1), OverflowError),
+            ("rk4", "y1 + exp(x1)*10^-300", [709.0, 0.0], (2.0, 1e-3, 1), OverflowError),
+            ("rk4", "-y1 + 1/x1", [1.0, 0.0], (2.0, 0.125, 1), ZeroDivisionError),
+            ("rk4", "y1*x1*x1 + sin(x1*x1*x1)", [1.0, 0.0], (2.0, 1e-3, 1), ValueError),
+            ("rkf45", "x1^2*y1^2", [1e200, 1e200], (1.0, 1e-9, 1e-11, 1), OverflowError),
+            ("rkf45", "y1/x1", [0.0, 1.0], (1.0, 1e-9, 1e-11, 1), ZeroDivisionError),
+            ("rkf45", "y1*sin(x1*x1*x1)", [1e200, 1.0], (1.0, 1e-9, 1e-11, 1), ValueError),
+        ],
+    )
+    def test_raising_stage_gives_the_same_error(self, integrator, text, z0, args, error):
+        # the same IntegrationError at the same t after the same samples;
+        # the generic loop's rhs shows which error the stage raised
+        rhs = HamiltonianField(ex.parse(text, 1), 1.0).compiled_field
+        raised = []
+
+        def recording(z):
+            try:
+                return rhs(z)
+            except dynamics._NON_FINITE as err:
+                raised.append(type(err))
+                raise
+
+        path = dynamics.rk4_path if integrator == "rk4" else rkf45_path
+        fused = _observed(path, rhs, z0, *args)
+        assert rhs in dynamics._FUSED
+        assert fused == _observed(path, recording, z0, *args)
+        assert fused[1] is not None and set(raised) == {error}
+        if integrator == "rk4":
+            assert fused[1][2] is error
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_wrapped_rhs_takes_the_generic_loop(self, integrator):
+        # functools.wraps copies a function's __dict__, so the terms are not
+        # found on the wrapper: it sees 4 calls per RK4 step, 6 per attempt
+        rhs = HamiltonianField(ex.parse(OSC, 1), 0.5).compiled_field
+        calls = 0
+
+        @functools.wraps(rhs)
+        def wrapped(z):
+            nonlocal calls
+            calls += 1
+            return rhs(z)
+
+        assert ex.scaled_terms(rhs) is not None and ex.scaled_terms(wrapped) is None
+        if integrator == "rk4":
+            got = _observed(dynamics.rk4_path, wrapped, [1.0, 2.0], 1.0, 1e-2, 1)
+            assert calls == 4 * 100
+            assert got == _observed(dynamics.rk4_path, rhs, [1.0, 2.0], 1.0, 1e-2, 1)
+        else:
+            got = _observed(rkf45_path, wrapped, [1.0, 2.0], 1.0, 1e-10, 1e-12, 1)
+            assert calls >= 6 * (len(got[0]) - 1) and calls % 6 == 0
+            assert got == _observed(rkf45_path, rhs, [1.0, 2.0], 1.0, 1e-10, 1e-12, 1)
+
+    def test_rhs_without_weak_references_takes_the_generic_loop(self):
+        # a ufunc cannot be weakly referenced, so it never carries terms
+        assert ex.scaled_terms(np.negative) is None
+        got = _observed(dynamics.rk4_path, np.negative, [1.0, 2.0], 1.0, 0.25, 1)
+        assert len(got[0]) == 5
+        assert got == _observed(dynamics.rk4_path, lambda z: np.negative(z), [1.0, 2.0], 1.0, 0.25, 1)
+
+    def test_generated_once_per_rhs_and_freed_with_it(self, monkeypatch):
+        generated = []
+        generator = dynamics._rkf45_loop
+
+        def counting(d, terms=None):
+            generated.append(terms is not None)
+            return generator(d, terms)
+
+        monkeypatch.setattr(dynamics, "_rkf45_loop", counting)
+        system = _System(circle_spec(), MorseOptions())
+        for z0 in ([0.03, 1.02, -0.5, 0.04], [-0.02, 0.99, 0.51, -0.03]):
+            rkf45_path(system.rhs, z0, 1.0, 1e-9, 1e-11, 1, lambda t, z: None)
+        assert generated == [True]
+        loop = dynamics._FUSED[system.rhs][counting]
+        assert loop.__module__ == "defham.dynamics"
+        probe = weakref.ref(loop)
+        del loop
+        gc.disable()
+        try:
+            del system
+            assert probe() is None
+        finally:
+            gc.enable()
+
+
+class TestRhsCounting:
+    """Flows mirror tests/test_morse.py::TestRhsCounting: an integrator whose
+    rhs is wrapped as bench/tracer.py wraps it (a functools.wraps timer, then
+    a counting closure) takes the generic loop, so the tracer's counts stay
+    true while untraced flows take the fused loop."""
+
+    H2 = "y1^2/2 + y2^2/2 + (1 - cos(x1)) + x1*x2^2/4 - x2*y1/3"
+
+    @staticmethod
+    def _wrapping(monkeypatch, name, stage_calls, counts):
+        original = getattr(dynamics, name)
+
+        def integrator(rhs, *args):
+            @functools.wraps(rhs)
+            def timed(z):
+                return rhs(z)
+
+            first = None
+
+            def counted(z):
+                nonlocal first
+                if counts["calls"] % stage_calls == 0:
+                    if z is first:
+                        counts["rejected"] += 1
+                    first = z
+                counts["calls"] += 1
+                return timed(z)
+
+            return original(counted, *args)
+
+        monkeypatch.setattr(dynamics, name, integrator)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_wrapped_rhs_sees_every_stage(self, monkeypatch, integrator):
+        spec = FlowSpec(ex.parse(self.H2, 2), 2, 0.5, integrator=integrator, step=1e-2,
+                        rel_tol=1e-6, abs_tol=1e-8, t_final=2.0)
+        z0 = PhasePoint((0.7, -0.4), (0.3, 0.9))
+        want = integrate(spec, z0)
+        counts = {"calls": 0, "rejected": 0}
+        name, stage_calls = ("rk4_path", 4) if integrator == "rk4" else ("rkf45_path", 6)
+        self._wrapping(monkeypatch, name, stage_calls, counts)
+        got = integrate(spec, z0)
+        steps = len(got.ts) - 1
+        if integrator == "rk4":
+            assert steps == 200 and counts == {"calls": 4 * 200, "rejected": 0}
+        else:
+            assert steps > 10 and counts["rejected"] > 0
+            assert counts["calls"] == 6 * (steps + counts["rejected"])
+        for field in ("ts", "zs", "energies"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 class TestErrorNormSum:

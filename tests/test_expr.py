@@ -598,7 +598,8 @@ class TestConstructorsAndHashes:
 
 def _codegen(e):
     """The fully parenthesized Python source the compiled functions were once
-    generated from: the reference for the printer's ``to_text(e, True)``."""
+    generated from: the reference for the printer's Python source,
+    ``to_text(e, coordinate_names("z[{}]", e.n))``."""
     if isinstance(e, ex.Const):
         v = e.value
         if v.denominator == 1:
@@ -635,7 +636,7 @@ class TestPrinter:
     def test_python_source_parses_as_the_fully_parenthesized_source(self, e):
         # equal ASTs compile to equal code, so every compiled value keeps its bits;
         # c * (e) is how compile_scaled scales an entry
-        source = ex.to_text(e, True)
+        source = ex.to_text(e, ex.coordinate_names("z[{}]", e.n))
         assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(_codegen(e)))
         assert ast.dump(ast.parse(f"-1.0 * ({source})")) == ast.dump(
             ast.parse(f"-1.0 * {_codegen(e)}")

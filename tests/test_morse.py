@@ -375,7 +375,7 @@ class TestFloatKernels:
 
 def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False):
     """The shot with one state array per step and one system.distance (its
-    own displacement array and ddot) per target."""
+    own displacement array and ddot) per target, on the generic RKF45 loop."""
     opts = system.options
     delta = opts.capture_radius
     result = _ShotResult("timeout", None, np.full(len(targets), np.inf), [])
@@ -401,7 +401,9 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
             raise _Stop
 
     try:
-        rkf45_path(system.rhs, start, opts.t_max, rel_tol, abs_tol, stride=1, observe=observe)
+        # a closure around the rhs takes the generic loop, which calls it
+        rhs = lambda u: system.rhs(u)  # noqa: E731
+        rkf45_path(rhs, start, opts.t_max, rel_tol, abs_tol, stride=1, observe=observe)
     except _Stop:
         pass
     except IntegrationError:
@@ -522,6 +524,30 @@ class TestShotObserverCertificate:
         want = [system.distance(np.array(inside), targets[0]), math.nextafter(delta, 0.0)]
         assert want[0] == min(system.distance(np.array(z), targets[0]) for z in states[:3])
         assert _bits(shot.min_dist) == _bits(want)
+
+
+class TestBoxTest:
+    @pytest.mark.parametrize("name, margin", [("in_box", 0.5), ("in_search_box", 1e-6)])
+    def test_folded_bounds_are_the_doubles_of_the_rule(self, name, margin):
+        # the shots' margin 0.5 and Newton's 1e-6, folded into constants:
+        # a coordinate at lo - margin or hi + margin is inside, one ulp
+        # beyond is outside, and a nan coordinate counts as inside
+        box = [(-2.0, 2.0), (-0.3, 0.7), (-1.1, 1.3), (0.1, 2.9)]
+        system = _System(circle_spec(), MorseOptions(search_box=box))
+        test = getattr(system, name)
+        assert len(system.bounded_axes) == 4
+        for axis, lo, hi in system.bounded_axes:
+            for edge, beyond in ((lo - margin, -math.inf), (hi + margin, math.inf)):
+                u = [0.5] * system.dim
+                for value, inside in ((edge, True), (math.nextafter(edge, beyond), False),
+                                      (math.nan, True)):
+                    u[axis] = value
+                    assert test(u) is inside and bool(test(np.array(u))) is inside
+
+    def test_torus_angles_are_unbounded(self):
+        system = _System(torus_spec(), MorseOptions())
+        assert system.bounded_axes == []
+        assert system.in_box([100.0, -100.0]) and system.in_search_box([100.0, -100.0])
 
 
 class TestRhsCounting:
