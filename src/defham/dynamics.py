@@ -18,8 +18,9 @@ generated once per rhs, whose stages compute those terms inline.  Any other
 rhs (the variational rhs, a wrapper such as a tracer's counting one) runs in
 the generic loop, generated once per state length, which calls it once per
 stage.  Both do the same operations in the same order, so they give the
-same path bit for bit.  field_from_gradient stays the pointwise form for
-single evaluations.
+same path bit for bit.  An observe that carries its source (register_watch,
+the Morse shot's watch) runs inline in the fused RKF45 loop.
+field_from_gradient stays the pointwise form for single evaluations.
 """
 
 from __future__ import annotations
@@ -248,22 +249,26 @@ def _generic_loop(generator: Callable, d: int) -> Callable:
     return generator(d)
 
 
-# rhs -> {generator: its fused loop}, generated when a path first takes that
-# rhs.  A loop does not refer to its rhs, so an entry goes with the rhs.
+# rhs -> {generator, or (generator, watch source): its fused loop}, generated
+# when a path first takes that rhs (and watch).  A loop does not refer to its
+# rhs, so an entry goes with the rhs.
 _FUSED: "weakref.WeakKeyDictionary[Callable, dict]" = weakref.WeakKeyDictionary()
 
 
-def _loop(generator: Callable, rhs: Callable, d: int) -> Callable:
+def _loop(generator: Callable, rhs: Callable, d: int, watch: Optional[tuple] = None) -> Callable:
     """The loop of ``generator`` (_rk4_loop or _rkf45_loop) for ``rhs``:
-    fused if rhs carries its terms (expr.scaled_terms), else the generic
+    fused if rhs carries its terms (expr.scaled_terms), with the watch
+    source ``watch`` inline if given (_rkf45_loop only), else the generic
     loop that calls rhs, for states of length d."""
     terms = ex.scaled_terms(rhs)
     if terms is None:
         return _generic_loop(generator, d)
     loops = _FUSED.setdefault(rhs, {})
-    if generator not in loops:
-        loops[generator] = generator(len(terms), terms)
-    return loops[generator]
+    key = generator if watch is None else (generator, watch)
+    if key not in loops:
+        loops[key] = generator(len(terms), terms) if watch is None else generator(
+            len(terms), terms, watch)
+    return loops[key]
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
@@ -324,7 +329,7 @@ def _numpy_sum_source(terms: list[str]) -> str:
     return total
 
 
-def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
+def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
     """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i.
@@ -336,12 +341,19 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
     so on Python floats it rounds exactly as float64 arrays do: stage sums
     run left to right from ``0.0 + c0*k0`` (zero coefficients included) and
     the mean squares are summed in numpy's order; ``min`` and ``max`` are
-    comparisons that pick the same operand, nan included.  A stage whose
-    rhs raises OverflowError, ZeroDivisionError or ValueError is set to nan,
-    as inf or nan would spread through the array form.  The first stage of
-    an attempt gets the state list itself, which a rejected attempt reuses;
-    an accepted step makes a new list.  Given the rhs's terms the stages are
-    fused (_stage) and the loop never calls its rhs.
+    comparisons that pick the same operand, nan included.  |z_i| is a_i,
+    the |y_i| of the step that made z (z_i is y_i there), and |t| is t (t
+    starts at +0.0 and only adds positive steps): same bits, fewer calls.  A stage
+    whose rhs raises OverflowError, ZeroDivisionError or ValueError is set
+    to nan, as inf or nan would spread through the array form.  The first
+    stage of an attempt gets the state list itself, which a rejected attempt
+    reuses; an accepted step makes a new list.  Given the rhs's terms the
+    stages are fused (_stage) and the loop never calls its rhs.
+
+    Given a watch (register_watch's source), the last argument is the
+    registered args, named ``watch``: setup runs once and body runs where
+    observe would be called.  body must not assign the loop's names (its
+    arguments, t, r, accepted, err, f, a_i, b_i, e_i, k<j>_i, s_i, w_i, y_i, z_i).
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
@@ -361,15 +373,20 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
             f"            {ks.replace(', ', ' = ')} = nan",
         ]
 
+    setup, after = [], ["                observe(t, z)"]
+    if watch is not None:
+        setup = ["    " + line for line in watch[0].splitlines()]
+        after = ["                " + line for line in watch[1].splitlines()]
     lines = [
-        "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe):",
+        f"def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, {'observe' if watch is None else 'watch'}):",
+        *setup,
         f"    {zs}, = z",
+        *(f"    a_{i} = abs(z_{i})" for i in comps),
         "    t, accepted = 0.0, 0",
         "    while t < t_final:",
         "        r = t_final - t",
         "        h = r if r < h else h",
-        "        r = abs(t)",
-        "        if h < 1e-14 * (r if r > 1.0 else 1.0):",
+        "        if h < 1e-14 * (t if t > 1.0 else 1.0):",
         '            raise IntegrationError("step size underflow (stiff blow-up)", t)',
     ]
     lines += stage(0, None)
@@ -378,8 +395,8 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
     for name, row in (("y", _RKF_B5), ("w", _RKF_B4)):
         lines += [f"        {name}_{i} = {combination(row, i)}" for i in comps]
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
-        lines += [f"        a = abs(z_{i})", f"        b = abs(y_{i})",
-                  f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a if a >= b else b))"]
+        lines += [f"        b_{i} = abs(y_{i})",
+                  f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a_{i} if a_{i} >= b_{i} else b_{i}))"]
     squares = _numpy_sum_source([f"e_{i} * e_{i}" for i in comps])
     lines += [
         f"        err = sqrt({squares} / {d})",
@@ -387,9 +404,10 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
         "        if err <= 1.0:",
         "            t += h",
         f"            {zs}, = z = [{zs.replace('z_', 'y_')}]",
+        *(f"            a_{i} = b_{i}" for i in comps),
         "            accepted += 1",
         "            if accepted % stride == 0 or t >= t_final:",
-        "                observe(t, z)",
+        *after,
         f"        elif not ({' and '.join(f'isfinite({v}_{i})' for v in 'yw' for i in comps)}):",
         "            h *= 0.25",
         "            continue",
@@ -401,6 +419,22 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None) -> Callable:
     return ex.define("\n".join(lines) + "\n", "loop", __name__, nan=math.nan, sqrt=math.sqrt,
                      isfinite=math.isfinite, non_finite=_NON_FINITE,
                      IntegrationError=IntegrationError)
+
+
+# observe -> (source, args) of register_watch.  Keyed by the function itself,
+# so a wrapper of it has no watch; an entry goes with its function.
+_WATCHES: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
+
+
+def register_watch(observe: Callable, source: tuple, args: tuple) -> Callable:
+    """Record that ``observe(t, z)`` runs ``source`` = (setup, body), lines
+    of Python, on ``args``, and return observe.  setup binds names from the
+    tuple ``watch`` (args); body reads them, z and z_0, z_1, ..., and may
+    raise to end the path.  With a fused rhs, rkf45_path calls observe at
+    t = 0 and its loop runs body inline after later steps (_rkf45_loop), so
+    state kept between steps lives in args."""
+    _WATCHES[observe] = (source, args)
+    return observe
 
 
 def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
@@ -419,12 +453,21 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     An rhs that carries its terms (expr.compile_scaled, the Morse rhs) runs
     in the loop fused for it; any other rhs, a wrapper of one included,
     runs in the generic loop, which calls it 6 times an attempt so that a
-    wrapper sees every stage (_loop).
+    wrapper sees every stage (_loop).  With a fused rhs, an observe from
+    register_watch is called at t = 0 only; a wrapper of it at every step.
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
-    loop = _loop(_rkf45_loop, rhs, len(z))
-    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, observe)
+    try:
+        watch = _WATCHES.get(observe)
+    except TypeError:  # observe cannot be weakly referenced, so it was never registered
+        watch = None
+    if watch is not None and ex.scaled_terms(rhs) is not None:
+        source, last = watch  # the loop runs source on the registered args
+        loop = _loop(_rkf45_loop, rhs, len(z), source)
+    else:
+        loop, last = _loop(_rkf45_loop, rhs, len(z)), observe
+    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, last)
 
 
 def _make_observer(energy: Callable):

@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import IntegrationError, rkf45_path
+from .dynamics import IntegrationError, register_watch, rkf45_path
 from .phase import PhasePoint, TWO_PI
 
 __all__ = [
@@ -242,6 +242,7 @@ class _System:
         self.span = max(hi - lo for lo, hi in self.box)  # Newton's step bound is 10 * span
         # u.tobytes() -> _newton_step(self, u): each iterate is solved once
         self.newton_steps: dict[bytes, tuple] = {}
+        self._watches: dict[tuple, tuple] = {}  # (count, keep_states) -> watch
         # (axis, lo, hi) of every coordinate the box bounds; the angles
         # x1..xn of the torus are compact
         self.bounded_axes = [
@@ -304,41 +305,80 @@ class _System:
             angles[...] = (angles + math.pi) % TWO_PI - math.pi
         return d
 
-    @functools.cached_property
-    def squared_distance(self) -> Callable[[list, list], float]:
-        """(z, t) -> the squared length of displacement(t, z) on Python floats,
-        generated once.  Each component is that of the NumPy row bit for bit
-        (-, + pi, % and - pi are the same IEEE operations); the squares are
-        summed left to right, where distance takes the BLAS ddot."""
-        axes = range(self.dim)
-        lines = [
-            "def squared_distance(z, t):",
-            "    " + ", ".join(f"z{i}" for i in axes) + ", = z",
-            "    " + ", ".join(f"t{i}" for i in axes) + ", = t",
-        ]
-        for i in axes:
-            d = f"z{i} - t{i}"
-            if self.wrap and i < self.spec.n:
-                d = f"({d} + {math.pi!r}) % {TWO_PI!r} - {math.pi!r}"
-            lines.append(f"    d{i} = {d}")
-        lines.append("    return " + " + ".join(f"d{i} * d{i}" for i in axes))
-        return ex.define("\n".join(lines) + "\n", "squared_distance", __name__)
+    def _outside(self, margin: float, pattern: str) -> str:
+        """Source testing that a bounded coordinate (``pattern`` names axis i,
+        e.g. ``u[{}]``) is more than margin outside the box, lo - margin and
+        hi + margin folded into constants; a nan is inside; "" if none is bounded."""
+        return " or ".join(
+            f"{pattern.format(axis)} < {lo - margin!r} or {pattern.format(axis)} > {hi + margin!r}"
+            for axis, lo, hi in self.bounded_axes
+        )
 
     def _box_test(self, margin: float) -> Callable[[Sequence[float]], bool]:
         """u -> False when a bounded coordinate of u lies more than margin
-        outside the box (a nan coordinate counts as inside), generated as
-        straight-line comparisons with lo - margin and hi + margin folded
-        into constants, the same doubles."""
-        outside = " or ".join(
-            f"u[{axis}] < {lo - margin!r} or u[{axis}] > {hi + margin!r}"
-            for axis, lo, hi in self.bounded_axes
-        )
-        return ex.define(f"def in_box(u):\n    return not ({outside or 'False'})\n",
-                         "in_box", __name__)
+        outside the box, generated (_outside)."""
+        outside = self._outside(margin, "u[{}]") or "False"
+        return ex.define(f"def in_box(u):\n    return not ({outside})\n", "in_box", __name__)
+
+    def watch(self, count: int, keep_states: bool) -> tuple:
+        """(source, make), generated once per (count, keep_states): the shot
+        watch for ``count`` targets as register_watch's source, and
+        ``make(args) -> observe`` running it on args = (shot, hit, escape,
+        lows, gates, near lists, target components).
+
+        Per step: shot.last_state = z (and z joins shot.states if kept);
+        per target, sq sums the squares of displacement's NumPy row, bit for
+        bit, left to right; if sq <= the gate, z joins the near list, the
+        least sum and gate fall (max(a, b) is ``b if b > a else a``), and
+        hit(k, z) runs if sq <= cap.  Last, escape() if out of the box by 0.5.
+        """
+        key = (count, keep_states)
+        if key in self._watches:
+            return self._watches[key]
+        axes, targets = range(self.dim), range(count)
+        delta = self.options.capture_radius
+        cap = repr(delta * delta * _BAND + _TINY)
+        names = [f"near{k}" for k in targets] + [f"p{k}_{i}" for k in targets for i in axes]
+        setup = [", ".join(["shot", "hit", "escape", "lows", "gates", *names]) + ", = watch"]
+        if count:
+            setup += [f"{', '.join(f'l{k}' for k in targets)}, = lows",
+                      f"{', '.join(f'g{k}' for k in targets)}, = gates"]
+        body = ["shot.last_state = z"]
+        if keep_states:
+            setup.append("store = shot.states.append")
+            body.append("store(z)")
+        for k in targets:
+            for i in axes:
+                d = f"z_{i} - p{k}_{i}"
+                if self.wrap and i < self.spec.n:
+                    d = f"({d} + {math.pi!r}) % {TWO_PI!r} - {math.pi!r}"
+                body.append(f"u{i} = {d}")
+            body += [
+                "sq = " + " + ".join(f"u{i} * u{i}" for i in axes),
+                f"if sq <= g{k}:",
+                f"    near{k}.append((sq, z))",
+                f"    if sq < l{k}:",
+                f"        lows[{k}] = l{k} = sq",
+                f"        edge = sq * {_BAND!r} + {_TINY!r}",
+                f"        gates[{k}] = g{k} = {cap} if {cap} > edge else edge",
+                f"    if sq <= {cap}:",
+                f"        hit({k}, z)",
+            ]
+        outside = self._outside(0.5, "z_{}")
+        if outside:
+            body += [f"if {outside}:", "    escape()"]
+        source = ("\n".join(setup), "\n".join(body))
+        lines = ["def make(watch):", "    def observe(t, z):"]
+        lines += ["        " + line for line in setup]
+        lines.append("        " + ", ".join(f"z_{i}" for i in axes) + ", = z")
+        lines += ["        " + line for line in body]
+        lines.append("    return observe")
+        watch = self._watches[key] = source, ex.define("\n".join(lines) + "\n", "make", __name__)
+        return watch
 
     @functools.cached_property
     def in_box(self) -> Callable[[Sequence[float]], bool]:
-        """The box test of the shots: margin 0.5."""
+        """The box test of the shots (the watch inlines it): margin 0.5."""
         return self._box_test(0.5)
 
     @functools.cached_property
@@ -586,37 +626,33 @@ def _shoot(
     only one within _BAND of delta**2 can be captured.  The ddot is taken
     for those states alone: at once for a possible capture, and at the end
     of the shot for min_dist.
+
+    Each step runs _System.watch on this shot's state.  The observe handed
+    to rkf45_path is that source, registered with it, so an untraced shot
+    runs it inline and calls back only through hit and escape; a wrapped
+    observe (the tracer's) is called every step, with the same bits.
     """
     opts = system.options
     delta = opts.capture_radius
     result = _ShotResult("timeout", None, [math.inf] * len(targets), [])
-    squared, in_box = system.squared_distance, system.in_box
-    goals = [np.asarray(t, dtype=float).tolist() for t in targets]
-    cap = delta * delta * _BAND + _TINY
-    low = [math.inf] * len(goals)  # least float sum per target
-    gate = [math.inf] * len(goals)  # max(band edge of low, cap)
-    near: list[list] = [[] for _ in goals]  # (sum, state) under the gate
+    lows = [math.inf] * len(targets)  # least float sum per target
+    gates = [math.inf] * len(targets)  # max(band edge of lows, cap)
+    near: list[list] = [[] for _ in targets]  # (sum, state) under the gate
 
-    def observe(t, z):
-        # the integrator hands over a new list each step, so z is kept as is
-        result.last_state = z
-        if keep_states:
-            result.states.append(np.array(z))
-        for idx, goal in enumerate(goals):
-            s = squared(z, goal)
-            if s <= gate[idx]:
-                near[idx].append((s, z))
-                if s < low[idx]:
-                    low[idx] = s
-                    gate[idx] = max(s * _BAND + _TINY, cap)
-                if s <= cap and system.distance(z, targets[idx]) < delta:
-                    result.outcome = "captured"
-                    result.target = idx
-                    raise _Stop
-        if not in_box(z):
-            result.outcome = "escaped"
+    def hit(idx, z):
+        if system.distance(z, targets[idx]) < delta:
+            result.outcome = "captured"
+            result.target = idx
             raise _Stop
 
+    def escape():
+        result.outcome = "escaped"
+        raise _Stop
+
+    source, make = system.watch(len(targets), keep_states)
+    goals = [v for t in targets for v in np.asarray(t, dtype=float).tolist()]
+    args = (result, hit, escape, lows, gates, *near, *goals)
+    observe = register_watch(make(args), source, args)
     try:
         rkf45_path(
             system.rhs, start, opts.t_max, rel_tol, abs_tol, stride=1, observe=observe
@@ -626,7 +662,7 @@ def _shoot(
     except IntegrationError:
         result.outcome = "escaped"
     for idx, states in enumerate(near):
-        edge = low[idx] * _BAND + _TINY
+        edge = lows[idx] * _BAND + _TINY
         for s, z in states:
             if s <= edge:
                 dist = system.distance(z, targets[idx])
@@ -1025,8 +1061,9 @@ class _DeviationMeter:
         self.jet_f = ex.JetEvaluator(spec.f)
         self.jets_w = _constraint_jets(spec)
 
-    def __call__(self, z: np.ndarray) -> float:
+    def __call__(self, z: Sequence[float]) -> float:
         n = self.n
+        z = np.asarray(z, dtype=float)
         w_vals = [jet.value(z) for _, jet in self.jets_w]
         dw, rows = _constraint_jacobian(self.jets_w, z, n)
         residual = np.array(self.jet_f.gradient(z)[:n]) + dw.T @ z[n:]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from defham import dynamics
+from defham import dynamics, morse
 from defham import expr as ex
 from defham.cli import _run_sweep
 from defham.dynamics import (
@@ -601,6 +601,44 @@ class TestFusedLoop:
         del loop
         gc.disable()
         try:
+            del system
+            assert probe() is None
+        finally:
+            gc.enable()
+
+        # the loop with a shot's watch inline: once per (rhs, target count,
+        # keep_states), freed with its system; a shot's registered observe
+        # and its hit, whose arguments hold the shot's state (its gate list
+        # too), are freed when the shot returns: no registry value refers to
+        # its key
+        watches, shots = [], []
+
+        def counting_watch(d, terms=None, watch=None):
+            watches.append(watch)
+            return generator(d, terms, watch)
+
+        def path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
+            hit = dynamics._WATCHES[observe][1][1]  # args, see _System.watch
+            shots.extend((weakref.ref(observe), weakref.ref(hit)))
+            return rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe)
+
+        monkeypatch.setattr(dynamics, "_rkf45_loop", counting_watch)
+        monkeypatch.setattr(morse, "rkf45_path", path)
+        system = _System(circle_spec(), MorseOptions())
+        start, one, two = [0.03, 1.02, -0.5, 0.04], [np.zeros(4)], [np.zeros(4), np.ones(4)]
+        for targets, keep in [(one, False), (two, False), (one, True), (one, False), (two, True),
+                              (one, True), (two, False)]:
+            morse._shoot(system, start, targets, 1e-6, 1e-8, keep)
+        kinds = [(1, False), (2, False), (1, True), (2, True)]
+        assert watches == [system.watch(*kind)[0] for kind in kinds]
+        loops = dynamics._FUSED[system.rhs]
+        assert len(loops) == 4 and loops[counting_watch, watches[0]].__module__ == "defham.dynamics"
+        probe = weakref.ref(loops[counting_watch, watches[0]])
+        del loops
+        gc.disable()
+        try:
+            morse._shoot(system, start, two, 1e-6, 1e-8, True)
+            assert len(shots) == 16 and all(ref() is None for ref in shots)
             del system
             assert probe() is None
         finally:

@@ -8,6 +8,7 @@ the torus height function cos(x1) + cos(x2) has the textbook Betti numbers
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -524,6 +525,92 @@ class TestShotObserverCertificate:
         want = [system.distance(np.array(inside), targets[0]), math.nextafter(delta, 0.0)]
         assert want[0] == min(system.distance(np.array(z), targets[0]) for z in states[:3])
         assert _bits(shot.min_dist) == _bits(want)
+
+
+def _generic_shoot(shoot, system, start, targets, rel_tol, abs_tol, keep_states=False):
+    """shoot with its observe wrapped: RKF45 then takes the loop that calls
+    it after every step, where it runs the registered watch inline."""
+
+    def path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
+        return rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, lambda t, z: observe(t, z))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morse, "rkf45_path", path)
+        return shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+
+
+class TestFusedWatch:
+    """Untraced, a shot's RKF45 loop runs the watch of _System.watch inline
+    and calls its observe for the start state only; a wrapped observe is
+    called at every step.  Both give the same shot."""
+
+    @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+    def test_every_shot_equals_the_generic_path(self, monkeypatch, name, make, q):
+        # every shot of the complex; _pair_refine's keep the states
+        shoot, hashes = morse._shoot, []
+
+        def both(system, start, targets, rel_tol, abs_tol, keep_states=False):
+            got = shoot(system, start, targets, rel_tol, abs_tol, keep_states)
+            want = _generic_shoot(shoot, system, start, targets, rel_tol, abs_tol, keep_states)
+            hashes.append((_shot_hash(start, got), _shot_hash(start, want)))
+            return got
+
+        monkeypatch.setattr(morse, "_shoot", both)
+        build_complex(make(q))
+        assert len(hashes) >= 50
+        assert all(got == want for got, want in hashes)
+
+    def test_registered_observe_is_called_for_the_start_state_only(self):
+        # the torus complex (several targets a shot) and keep-states shots,
+        # counted by a profile hook, so that no wrapper hides the observe
+        calls, shots = [], []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code is morse._shoot.__code__:
+                shots.append(frame.f_locals["keep_states"])
+            elif frame.f_code.co_name == "observe" and frame.f_globals["__name__"] == "defham.morse":
+                calls.append(frame.f_locals["t"])
+
+        sys.setprofile(profile)
+        try:
+            build_complex(torus_spec())
+            adiabatic_deviation(inside_z_spec(), [1.0])
+        finally:
+            sys.setprofile(None)
+        assert len(shots) >= 50 and any(shots) and not all(shots)
+        assert calls == [0.0] * len(shots)
+
+    def test_integration_error_in_the_box(self):
+        # x1' = -1/x1^2 reaches x1 = 0 at t = 1/3, inside the box, where the
+        # step underflows: the shot escapes with its last accepted state
+        zero = ex.parse("0", 2)
+        spec = MorseSpec(2, ex.parse("x2^2 - 1/x1", 2), [zero, zero], zero)
+        system = _System(spec, MorseOptions())
+        start, targets = np.array([1.0, 0.5]), [np.array([1.5, -1.0])]
+        with pytest.raises(IntegrationError, match="underflow"):
+            rkf45_path(system.rhs, start, 200.0, 1e-9, 1e-11, 1, lambda t, z: None)
+        for keep in (False, True):
+            got = morse._shoot(system, start, targets, 1e-9, 1e-11, keep)
+            want = _generic_shoot(morse._shoot, system, start, targets, 1e-9, 1e-11, keep)
+            assert got.outcome == want.outcome == "escaped"
+            assert got.last_state == want.last_state and system.in_box(got.last_state)
+            assert _shot_hash(start, got) == _shot_hash(start, want)
+
+    def test_watch_escapes_one_ulp_beyond_the_box(self, monkeypatch):
+        # the box test of the watch is in_box's: a state at lo - 0.5 or
+        # hi + 0.5 stays in, one ulp beyond escapes
+        box = [(-2.0, 2.0), (-0.3, 0.7), (-1.1, 1.3), (0.1, 2.9)]
+        system = _System(circle_spec(), MorseOptions(search_box=box))
+        for axis, lo, hi in system.bounded_axes:
+            for edge, beyond in ((lo - 0.5, -math.inf), (hi + 0.5, math.inf)):
+                inside, outside = [0.5] * 4, [0.5] * 4
+                inside[axis], outside[axis] = edge, math.nextafter(edge, beyond)
+                states = [[0.5] * 4, inside, outside, [0.5] * 4]
+                shot = _replayed_shot(monkeypatch, system, [np.zeros(4)], states)
+                assert (shot.outcome, shot.last_state) == ("escaped", outside)
+                assert system.in_box(inside) and not system.in_box(outside)
 
 
 class TestBoxTest:
