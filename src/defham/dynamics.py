@@ -18,8 +18,13 @@ generated once per rhs, whose stages compute those terms inline.  Any other
 rhs (the variational rhs, a wrapper such as a tracer's counting one) runs in
 the generic loop, generated once per state length, which calls it once per
 stage.  Both do the same operations in the same order, so they give the
-same path bit for bit.  An observe that carries its source (register_watch,
-the Morse shot's watch) runs inline in the fused RKF45 loop.
+same path bit for bit.  The variational rhs is generated once per (H, q)
+too (HamiltonianField.variational_rhs): gradient entries inline, the field
+Jacobian from the compiled Hessian tuple, one BLAS product.
+
+An observe that carries its source (register_watch) runs inline in the
+fused loops of both schemes and is called for the start state only: the
+flow sampler (_make_observer, H written inline) and the Morse shot's watch.
 field_from_gradient stays the pointwise form for single evaluations.
 """
 
@@ -140,7 +145,36 @@ class HamiltonianField:
         # as e.g. `(0)`) then gives -0.0, as it did on float64 arrays
         return [self._qinv * v for v in g[n:]] + [-1.0 * v for v in g[:n]]
 
+    @functools.cached_property
+    def variational_rhs(self) -> Callable[[Sequence[float]], list]:
+        """The rhs of the flow with its Jacobian D, on the state (z, D row by
+        row), generated once.  It computes, in the order of the array form
+        np.concatenate([field(z), (field_jacobian(z) @ D).ravel()]) and with
+        its rounding: the gradient entries inline, the field from them, then
+        the field Jacobian, from the compiled Hessian tuple
+        (jet.hessian_tuple), and D as two np.arrays and one BLAS product."""
+        n, m = self.n, 2 * self.n
+        names = ex.coordinate_names("state[{}]", n)
+        g = [f"g{i}" for i in range(m)]
+        h = [f"h{k}" for k in range(m * (m + 1) // 2)]
+        index = ex.hessian_index(m)
+        # -(1.0 * h), not -h: an integer entry (a constant derivative,
+        # compiled as e.g. `0`) then gives -0.0, as -h[:n] does on float64
+        rows = [[f"{self._qinv!r} * {h[k]}" for k in index[n + i]] for i in range(n)]
+        rows += [[f"-(1.0 * {h[k]})" for k in index[i]] for i in range(n)]
+        source = "\n".join([
+            "def rhs(state):",
+            f"    {', '.join(g)}, = {', '.join(ex.to_text(e, names) for e in self.jet.derivatives)},",
+            f"    v = [{', '.join(f'{c!r} * g{i}' for c, i in _field_terms(n, self._qinv))}]",
+            f"    {', '.join(h)}, = hessian(state)",
+            f"    dd = array({ex.matrix_source(rows)}) @ array(state[{m}:]).reshape({m}, {m})",
+            "    return v + dd.ravel().tolist()",
+        ])
+        return ex.define(source + "\n", "rhs", __name__, hessian=self.jet.hessian_tuple,
+                         array=np.array)
+
     def field_jacobian(self, z) -> np.ndarray:
+        """dX^q_H/dz at z on float64: the array form variational_rhs rounds as."""
         h = self.jet.hessian(z)
         n = self.n
         out = np.empty((2 * n, 2 * n))
@@ -201,7 +235,7 @@ def _stage(ks: str, args: Optional[list], terms: Optional[tuple]) -> list:
     return lines + [f"{indent}{k} = {v}" for k, v in zip(ks.split(", "), entries)]
 
 
-def _rk4_loop(d: int, terms: Optional[tuple] = None) -> Callable:
+def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
     """RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i:
@@ -210,6 +244,12 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None) -> Callable:
     array form on float64.  Each step makes a new state list z, which the
     first stage of the next step gets.  Given the rhs's terms the stages are
     fused (_stage) and the loop never calls its rhs.
+
+    Given a watch (register_watch's source), the last argument is the
+    registered args, named ``watch``: setup runs once and body runs, with
+    t = k*h, where observe would be called.  body must not assign the
+    loop's names (its arguments, half, sixth, k, t, a_i, b_i, c_i, e_i,
+    s_i, z_i).
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
 
@@ -217,8 +257,13 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None) -> Callable:
         args = [f"z_{i} + {scale} * {prev}_{i}" for i in range(d)] if prev else None
         return _stage(zs.replace("z_", k + "_"), args, terms)
 
+    setup, after = [], ["            observe(k * h, z)"]
+    if watch is not None:
+        setup = ["    " + line for line in watch[0].splitlines()]
+        after = ["            t = k * h", *("            " + line for line in watch[1].splitlines())]
     lines = [
-        "def loop(rhs, z, nsteps, h, stride, observe):",
+        f"def loop(rhs, z, nsteps, h, stride, {'observe' if watch is None else 'watch'}):",
+        *setup,
         "    half = 0.5 * h",
         "    sixth = h / 6.0",
         f"    {zs}, = z",
@@ -236,7 +281,7 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None) -> Callable:
         '            raise IntegrationError("solution blew up", k * h)',
         f"        z = [{zs}]",
         "        if k % stride == 0 or k == nsteps:",
-        "            observe(k * h, z)",
+        *after,
         "    return z",
     ]
     return ex.define("\n".join(lines) + "\n", "loop", __name__, isfinite=math.isfinite,
@@ -255,20 +300,45 @@ def _generic_loop(generator: Callable, d: int) -> Callable:
 _FUSED: "weakref.WeakKeyDictionary[Callable, dict]" = weakref.WeakKeyDictionary()
 
 
-def _loop(generator: Callable, rhs: Callable, d: int, watch: Optional[tuple] = None) -> Callable:
-    """The loop of ``generator`` (_rk4_loop or _rkf45_loop) for ``rhs``:
-    fused if rhs carries its terms (expr.scaled_terms), with the watch
-    source ``watch`` inline if given (_rkf45_loop only), else the generic
-    loop that calls rhs, for states of length d."""
+# observe -> (source, args) of register_watch.  Keyed by the function itself,
+# so a wrapper of it has no watch; an entry goes with its function.
+_WATCHES: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
+
+
+def register_watch(observe: Callable, source: tuple, args: tuple) -> Callable:
+    """Record that ``observe(t, z)`` runs ``source`` = (setup, body), lines
+    of Python, on ``args``, and return observe.  setup binds names from the
+    tuple ``watch`` (args); body reads them, t, z and z_0, z_1, ..., and may
+    raise to end the path.  With a fused rhs, rk4_path and rkf45_path call
+    observe at t = 0 and their loop runs body inline after later samples
+    (_rk4_loop, _rkf45_loop), so state kept between samples lives in args.
+    The Morse shot watch (morse._System.watch) and the flow sampler
+    (_make_observer) are such sources."""
+    _WATCHES[observe] = (source, args)
+    return observe
+
+
+def _loop(generator: Callable, rhs: Callable, d: int, observe: Callable) -> tuple:
+    """(loop, last): the loop of ``generator`` (_rk4_loop or _rkf45_loop) for
+    ``rhs`` on states of length d, and what it takes in place of observe.
+    An rhs that carries its terms (expr.scaled_terms) gets its fused loop,
+    with observe's registered watch inline if it has one (register_watch):
+    last is then the watch's args.  Any other rhs gets the generic loop,
+    which calls rhs and observe."""
     terms = ex.scaled_terms(rhs)
     if terms is None:
-        return _generic_loop(generator, d)
+        return _generic_loop(generator, d), observe
+    try:
+        watch = _WATCHES.get(observe)
+    except TypeError:  # observe cannot be weakly referenced, so it was never registered
+        watch = None
+    source, last = (None, observe) if watch is None else watch
     loops = _FUSED.setdefault(rhs, {})
-    key = generator if watch is None else (generator, watch)
+    key = generator if source is None else (generator, source)
     if key not in loops:
-        loops[key] = generator(len(terms), terms) if watch is None else generator(
-            len(terms), terms, watch)
-    return loops[key]
+        loops[key] = generator(len(terms), terms) if source is None else generator(
+            len(terms), terms, source)
+    return loops[key], last
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
@@ -281,12 +351,17 @@ def rk4_path(rhs, z0, t_final, step, stride, observe):
     raises IntegrationError.  Flows pass HamiltonianField.compiled_field,
     which carries its terms, so it runs in the loop fused for it; any other
     rhs, a wrapper of it included, runs in the generic loop, which calls it
-    4 times a step so that a wrapper sees every stage (_loop).
+    4 times a step so that a wrapper sees every stage.  With a fused rhs, an
+    observe registered with register_watch (a flow's sampler) is called for
+    the start state only and its watch runs inline at every later sample;
+    any other observe, a wrapper of a registered one included, is called at
+    every sample.  _loop makes both choices, for both schemes.
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
     observe(0.0, z)
-    return _loop(_rk4_loop, rhs, len(z))(rhs, z, nsteps, t_final / nsteps, stride, observe)
+    loop, last = _loop(_rk4_loop, rhs, len(z), observe)
+    return loop(rhs, z, nsteps, t_final / nsteps, stride, last)
 
 
 # Fehlberg 4(5) tableau.
@@ -421,22 +496,6 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
                      IntegrationError=IntegrationError)
 
 
-# observe -> (source, args) of register_watch.  Keyed by the function itself,
-# so a wrapper of it has no watch; an entry goes with its function.
-_WATCHES: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
-
-
-def register_watch(observe: Callable, source: tuple, args: tuple) -> Callable:
-    """Record that ``observe(t, z)`` runs ``source`` = (setup, body), lines
-    of Python, on ``args``, and return observe.  setup binds names from the
-    tuple ``watch`` (args); body reads them, z and z_0, z_1, ..., and may
-    raise to end the path.  With a fused rhs, rkf45_path calls observe at
-    t = 0 and its loop runs body inline after later steps (_rkf45_loop), so
-    state kept between steps lives in args."""
-    _WATCHES[observe] = (source, args)
-    return observe
-
-
 def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     """Adaptive Fehlberg 4(5) integration of zdot = rhs(z) over [0, t_final].
 
@@ -453,43 +512,61 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     An rhs that carries its terms (expr.compile_scaled, the Morse rhs) runs
     in the loop fused for it; any other rhs, a wrapper of one included,
     runs in the generic loop, which calls it 6 times an attempt so that a
-    wrapper sees every stage (_loop).  With a fused rhs, an observe from
-    register_watch is called at t = 0 only; a wrapper of it at every step.
+    wrapper sees every stage.  With a fused rhs, an observe registered with
+    register_watch (a flow's sampler, a Morse shot's watch) is called for
+    the start state only and its watch runs inline at every later sample;
+    any other observe, a wrapper of a registered one included, is called at
+    every sample.  _loop makes both choices, for both schemes.
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
-    try:
-        watch = _WATCHES.get(observe)
-    except TypeError:  # observe cannot be weakly referenced, so it was never registered
-        watch = None
-    if watch is not None and ex.scaled_terms(rhs) is not None:
-        source, last = watch  # the loop runs source on the registered args
-        loop = _loop(_rkf45_loop, rhs, len(z), source)
-    else:
-        loop, last = _loop(_rkf45_loop, rhs, len(z)), observe
+    loop, last = _loop(_rkf45_loop, rhs, len(z), observe)
     return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, last)
 
 
-def _make_observer(energy: Callable):
-    """``(ts, states, es, observe)``: observe(t, z) keeps the integrator's list z,
-    new at each sample, and its energy on Python floats or, where they raise,
-    on float64, which rounds the same but gives inf or nan (a math function of
-    those still raises, as IntegrationError)."""
+def _make_observer(hamiltonian: ex.Node, energy: Callable):
+    """``(ts, states, es, observe)``: observe(t, z) keeps t, the integrator's
+    list z (new at each sample) and H(z).  observe is registered with its
+    source (_sampler), so a fused loop runs that inline and calls observe
+    for the start state only.  H is written inline on Python floats and
+    rounds as ``energy`` (H compiled, e.g. JetEvaluator.value); where Python
+    floats raise, energy is called on float64, which rounds the same but
+    gives inf or nan (a math function of those still raises, as
+    IntegrationError)."""
     ts, states, es = [], [], []
 
-    def observe(t, z):
+    def retry(t, z):
         try:
-            e = energy(z)
-        except _NON_FINITE:
-            try:
-                e = energy(np.asarray(z, dtype=float))
-            except _NON_FINITE as err:
-                raise IntegrationError("solution blew up", t) from err
-        ts.append(t)
-        states.append(z)
-        es.append(e)
+            return energy(np.asarray(z, dtype=float))
+        except _NON_FINITE as err:
+            raise IntegrationError("solution blew up", t) from err
 
-    return ts, states, es, observe
+    source, make = _sampler(hamiltonian)
+    args = (ts.append, states.append, es.append, retry, _NON_FINITE)
+    return ts, states, es, register_watch(make(args), source, args)
+
+
+def _sampler(hamiltonian: ex.Node) -> tuple:
+    """(source, make): the sample watch of _make_observer as register_watch's
+    source, and ``make(args) -> observe`` running it on args = (ts.append,
+    states.append, es.append, retry, the exceptions Python floats raise).
+    H reads the first 2n components, so a state may carry more (a Jacobian)."""
+    names = ex.coordinate_names("z_{}", hamiltonian.n)
+    setup = "ts_append, states_append, es_append, retry, raising = watch"
+    body = "\n".join([
+        "try:",
+        f"    energy = {ex.to_text(hamiltonian, names)}",
+        "except raising:",
+        "    energy = retry(t, z)",
+        "ts_append(t)",
+        "states_append(z)",
+        "es_append(energy)",
+    ])
+    lines = ["def make(watch):", "    def observe(t, z):", "        " + setup,
+             f"        {', '.join(names)}, = z[:{len(names)}]"]
+    lines += ["        " + line for line in body.splitlines()]
+    lines.append("    return observe")
+    return (setup, body), ex.define("\n".join(lines) + "\n", "make", __name__)
 
 
 def _trajectory(spec: FlowSpec, ts: list, zs: np.ndarray, es: list) -> Trajectory:
@@ -517,7 +594,7 @@ def _path(spec: FlowSpec, rhs, z0, observe) -> None:
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    ts, zs, es, observe = _make_observer(f.jet.value)
+    ts, zs, es, observe = _make_observer(f.jet.expression, f.jet.value)
     _path(spec, f.compiled_field, z0.as_array(), observe)
     return _trajectory(spec, ts, np.array(zs), es)
 
@@ -525,16 +602,10 @@ def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
 def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
     """Co-integrate the flow with Ddot = (dX^q_H/dz) D, D(0) = I."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    field = f.compiled_field
     n2 = 2 * spec.n
-
-    def rhs(state):
-        z = state[:n2]
-        dd = f.field_jacobian(z) @ np.reshape(state[n2:], (n2, n2))
-        return field(z) + dd.ravel().tolist()
-
-    ts, states, es, observe = _make_observer(f.jet.value)  # H reads the first 2n entries
-    _path(spec, rhs, np.concatenate([z0.as_array(), np.eye(n2).ravel()]), observe)
+    # H reads the first 2n entries of the state
+    ts, states, es, observe = _make_observer(f.jet.expression, f.jet.value)
+    _path(spec, f.variational_rhs, np.concatenate([z0.as_array(), np.eye(n2).ravel()]), observe)
     states = np.array(states)
     trajectory = _trajectory(spec, ts, states[:, :n2], es)
     return VariationalFlow(trajectory, states[:, n2:].reshape(len(ts), n2, n2))
@@ -563,13 +634,22 @@ def pullback_defect(
 
 
 def _regime_rates(spec: FlowSpec):
-    """``z -> (sum_i H_{x_i} H_{y_i}, dH/dt)`` on Python floats, generated once per (H, q)."""
-    g = [f"g{i}" for i in range(2 * spec.n)]
-    velocity = [f"({c!r} * g{i})" for c, i in _field_terms(spec.n, 1.0 / spec.q)]
-    coupling = " + ".join(["0.0", *map("{} * {}".format, g[: spec.n], g[spec.n :])])
+    """``z -> (sum_i H_{x_i} H_{y_i}, dH/dt)`` on Python floats, generated once
+    per (H, q) with the gradient entries inline, as jet.gradient rounds them."""
+    n = spec.n
+    names = ex.coordinate_names("z_{}", n)
+    partials = ex.JetEvaluator(spec.hamiltonian).derivatives
+    g = [f"g{i}" for i in range(2 * n)]
+    velocity = [f"({c!r} * g{i})" for c, i in _field_terms(n, 1.0 / spec.q)]
+    coupling = " + ".join(["0.0", *map("{} * {}".format, g[:n], g[n:])])
     dhdt = " + ".join(["0.0", *map("{} * {}".format, g, velocity)])
-    source = f"def rates(z):\n    {', '.join(g)}, = gradient(z)\n    return {coupling}, {dhdt}\n"
-    return ex.define(source, "rates", __name__, gradient=ex.JetEvaluator(spec.hamiltonian).gradient)
+    source = "\n".join([
+        "def rates(z):",
+        f"    {', '.join(names)}, = z",
+        f"    {', '.join(g)}, = {', '.join(ex.to_text(e, names) for e in partials)},",
+        f"    return {coupling}, {dhdt}",
+    ])
+    return ex.define(source + "\n", "rates", __name__)
 
 
 def regime_violations(spec: FlowSpec, trajectory: Trajectory, tol: float) -> int:

@@ -54,6 +54,8 @@ __all__ = [
     "register_scaled",
     "scaled_terms",
     "define",
+    "hessian_index",
+    "matrix_source",
     "JetEvaluator",
 ]
 
@@ -681,6 +683,20 @@ def _variable_list(n: int) -> list[tuple[str, int]]:
     return [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def hessian_index(m: int) -> tuple[tuple[int, ...], ...]:
+    """The position of each entry (i, j) of a symmetric m x m matrix in its
+    upper triangle read row by row: the order of a compiled Hessian tuple."""
+    upper = {pair: k for k, pair in enumerate((i, j) for i in range(m) for j in range(i, m))}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(m)) for i in range(m))
+
+
+def matrix_source(rows: Iterable[Iterable[str]]) -> str:
+    """The source of the nested tuple of ``rows`` of entry sources, which
+    np.array makes a C-ordered matrix."""
+    return "(" + "".join(f"({', '.join(row)},), " for row in rows) + ")"
+
+
 class _CompiledJet:
     """Compiled gradient of one expression; its value and Hessian are
     compiled on first use.  It must not refer to that expression: an entry
@@ -692,14 +708,24 @@ class _CompiledJet:
         self.grads = [differentiate(e, v) for v in self.variables]
         self.value = None
         self.gradient = compile_vector(self.grads)
-        m = len(self.variables)
-        self.pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
     @functools.cached_property
     def hessian(self) -> Callable[[Sequence[float]], tuple]:
+        """z -> the tuple of second derivatives in hessian_index's order."""
+        m = len(self.variables)
         return compile_vector(
-            [differentiate(self.grads[i], self.variables[j]) for i, j in self.pairs]
+            [differentiate(self.grads[i], self.variables[j]) for i in range(m) for j in range(i, m)]
         )
+
+    @functools.cached_property
+    def hessian_matrix(self) -> Callable[[Sequence[float]], np.ndarray]:
+        """z -> the Hessian matrix: one np.array of the compiled tuple,
+        mirrored by hessian_index, so an integer entry converts as float()."""
+        m = len(self.variables)
+        names = [f"h{k}" for k in range(m * (m + 1) // 2)]
+        rows = matrix_source([names[k] for k in row] for row in hessian_index(m))
+        source = f"def _f(z):\n    {', '.join(names)}, = hessian(z)\n    return array({rows}, dtype=float)\n"
+        return define(source, "_f", __name__, hessian=self.hessian, array=np.array)
 
 
 # Frozen node -> its compiled jet.  Equal expressions share one entry, which
@@ -719,7 +745,6 @@ class JetEvaluator:
             compiled = _COMPILED_JETS[e] = _CompiledJet(e)
         self._compiled = compiled
         self._gradient = compiled.gradient
-        self._m = len(compiled.variables)
 
     @functools.cached_property
     def _value(self) -> Callable[[Sequence[float]], float]:
@@ -741,11 +766,10 @@ class JetEvaluator:
         do array algebra convert it."""
         return self._gradient(z)
 
+    @property
+    def hessian_tuple(self) -> Callable[[Sequence[float]], tuple]:
+        """The compiled second derivatives at z, in hessian_index's order."""
+        return self._compiled.hessian
+
     def hessian(self, z) -> np.ndarray:
-        m = self._m
-        out = np.empty((m, m))
-        flat = self._compiled.hessian(z)
-        for (i, j), value in zip(self._compiled.pairs, flat):
-            out[i, j] = value
-            out[j, i] = value
-        return out
+        return self._compiled.hessian_matrix(z)

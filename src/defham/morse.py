@@ -598,7 +598,7 @@ def _unstable_frame(system: _System, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ShotResult:
-    outcome: str  # "captured", "escaped", "timeout"
+    outcome: str  # "captured", "escaped", "blew_up" (IntegrationError), "timeout"
     target: Optional[int]
     min_dist: list  # closest approach per target along the path
     states: list
@@ -660,7 +660,7 @@ def _shoot(
     except _Stop:
         pass
     except IntegrationError:
-        result.outcome = "escaped"
+        result.outcome = "blew_up"
     for idx, states in enumerate(near):
         edge = lows[idx] * _BAND + _TINY
         for s, z in states:
@@ -682,13 +682,15 @@ def _angle_shot(system, u_minus, frame, theta, stop_points, rel_tol, keep_states
 def _fate(system: _System, shot: _ShotResult):
     """Coarse classification of where a shot ended up.
 
-    Captures are keyed by target; escapes by the box face crossed.  Two
-    shots on the same side of a separatrix share a fate, so a fate change
-    between neighbouring angles brackets a connecting orbit.
+    Captures are keyed by target; escapes by the box face crossed, and so
+    is a blow-up whose last state lies past a face; a blow-up inside the
+    box is its own fate.  Two shots on the same side of a separatrix share
+    a fate, so a fate change between neighbouring angles brackets a
+    connecting orbit.
     """
     if shot.outcome == "captured":
         return ("captured", shot.target)
-    if shot.outcome != "escaped" or shot.last_state is None:
+    if shot.outcome == "timeout" or shot.last_state is None:
         return ("timeout",)
     worst, axis, side = 0.0, -1, 0
     for a, lo, hi in system.bounded_axes:
@@ -697,6 +699,8 @@ def _fate(system: _System, shot: _ShotResult):
         if over > worst:
             worst, axis = over, a
             side = -1 if lo - value > value - hi else 1
+    if axis < 0:  # an escape always lies past a face
+        return ("blew_up",)
     return ("escaped", axis, side)
 
 

@@ -8,12 +8,13 @@ harmonic oscillator at q = 1, and Runge-Kutta order measured by step halving.
 import functools
 import gc
 import math
+import sys
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from defham import dynamics, morse
@@ -867,7 +868,7 @@ class TestObserver:
     @example(_tree("sin(x1*x1*x1) + y1"), [1e200, 0.0, 0.0, 0.0])  # sin(inf): raises
     def test_energies_equal_the_float64_observer(self, h, z):
         energy = ex.compile_scalar(h)  # what JetEvaluator.value calls
-        ts, states, es, observe = dynamics._make_observer(energy)
+        ts, states, es, observe = dynamics._make_observer(h, energy)
         try:
             want = _float64_energy(energy, z, 0.5)
         except IntegrationError:
@@ -880,6 +881,163 @@ class TestObserver:
         assert ts == [0.5] and states == [z]
         # bytes, so the sign of a zero and of a nan count
         assert np.array(es, dtype=float).tobytes() == np.array([want], dtype=float).tobytes()
+
+
+_QS = st.one_of(
+    st.sampled_from([1.0, 0.5, 2.0, -1.0, -0.5, -3.0]),
+    st.floats(-4.0, 4.0).filter(lambda q: abs(q) > 1e-3),
+)
+
+
+def _field_of(h, q):
+    """The HamiltonianField of a raw tree, or a rejected example where a
+    derivative divides by a constant zero."""
+    try:
+        f = HamiltonianField(h, q)
+        f.jet.hessian_tuple
+    except ex.ExprError:
+        assume(False)
+    return f
+
+
+def _result(compute):
+    """The bytes of an array result, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(compute(), dtype=float).tobytes()
+    except dynamics._NON_FINITE as err:
+        return type(err)
+
+
+class TestVariationalRhs:
+    @settings(
+        max_examples=400, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(RANDOM_TREES, _STATES, st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16), _QS)
+    # constant second derivatives compile to the ints 0 and 1: -h of the int
+    # 0 is 0, not the -0.0 of the float64 matrix
+    @example(_tree("x1*y1"), [0.5, -1.0, 2.0, 0.25], [1.0, 0.0] * 8, -0.5)
+    @example(_tree("x1*y1 + y2^2/2"), [0.5, -1.0, 2.0, 0.25], [-0.0, 1.0] * 8, 2.0)
+    @example(_tree("y1/x1 + x2"), [0.0, 1.0, 1.0, 0.0], [1.0] * 16, 1.0)  # raises
+    @example(_tree("x1^3*y2"), [1e200, 0.0, 0.0, 1.0], [1.0] * 16, -2.0)  # ** raises
+    # x1*x1 is inf and times x2 = 0 a nan, whose sign the negation flips
+    @example(_tree("x1*x1*x1*x1*x2"), [1e200, 0.0, 0.0, 0.0], [1.0] * 16, 0.5)
+    def test_equals_the_array_form(self, h, z, m, q):
+        f = _field_of(h, q)
+        mat = np.array(m).reshape(4, 4)
+        want = _result(lambda: np.concatenate([f.field(z), (f.field_jacobian(z) @ mat).ravel()]))
+        # the product sums from +0.0 and so hides the sign of a zero entry;
+        # the field Jacobian, the rhs's first array, is compared as well
+        built = []
+        rhs = f.variational_rhs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(rhs.__globals__, "array", lambda rows: built.append(np.array(rows)) or built[-1])
+            assert _result(lambda: rhs(list(z) + m)) == want
+        if built:
+            assert built[0].tobytes() == f.field_jacobian(z).tobytes()
+
+    def test_generated_once_per_field(self):
+        f = HamiltonianField(ex.parse(OSC, 1), 0.5)
+        assert f.variational_rhs is f.variational_rhs
+        assert f.variational_rhs.__module__ == "defham.dynamics"
+
+
+class TestRegimeRates:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(RANDOM_TREES, _STATES, _QS)
+    def test_rounds_as_the_compiled_gradient(self, h, z, q):
+        # the gradient entries inline round as jet.gradient's, in the sums'
+        # order: coupling sum_i g_i g_{n+i}, then dH/dt = sum_k g_k X_k
+        f = _field_of(h, q)
+        spec = FlowSpec(h, N_RANDOM, q)
+
+        def reference():
+            g = f.jet.gradient(z)
+            x = [1.0 / q * v for v in g[N_RANDOM:]] + [-1.0 * v for v in g[:N_RANDOM]]
+            return (0.0 + g[0] * g[2] + g[1] * g[3],
+                    0.0 + g[0] * x[0] + g[1] * x[1] + g[2] * x[2] + g[3] * x[3])
+
+        assert _result(lambda: dynamics._regime_rates(spec)(z)) == _result(reference)
+
+
+def _wrapped_observer(monkeypatch):
+    """Hand the flows an observe wrapped in a closure, which has no watch, so
+    the fused loop calls it at every sample."""
+    make = dynamics._make_observer
+
+    def wrapping(*args):
+        ts, states, es, observe = make(*args)
+        return ts, states, es, lambda t, z: observe(t, z)
+
+    monkeypatch.setattr(dynamics, "_make_observer", wrapping)
+
+
+def _flow(spec, z0):
+    """The samples of integrate as bytes, or its IntegrationError and t."""
+    try:
+        with np.errstate(all="ignore"):
+            traj = integrate(spec, z0)
+    except IntegrationError as err:
+        return str(err), err.t, type(err.__cause__)
+    return traj.ts.tobytes(), traj.zs.tobytes(), traj.energies.tobytes()
+
+
+class TestSampleWatch:
+    """A flow's observer is a registered watch (_make_observer): the fused
+    RK4 and RKF45 loops run it inline and must sample as the loop that calls
+    a wrapped observe at every sample."""
+
+    CASES = [
+        # the torus turns x1 several times
+        ("y1^2/2 + y2^2/2 - cos(x1) - cos(x2)/2 + x1*y2/5", 2, [0.5, 1.0, 3.0, -2.5], None),
+        # y2 stays at 1e155, where y2^2 raises on Python floats: the energy
+        # falls back to float64, which gives inf
+        ("y1^2/2 + (1 - cos(x1)) + y2^2", 2, [0.9, 0.0, -0.4, 1e155], "inf"),
+        # x1' = 2 x1^2 blows up at t = 1/2
+        ("y1*x1^2", 1, [1.0, 0.0], "error"),
+    ]
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("space", ["plane", "torus"])
+    @pytest.mark.parametrize("text, n, z0, kind", CASES, ids=["turning", "fallback", "blow-up"])
+    def test_fused_samples_equal_a_wrapped_observe(self, monkeypatch, integrator, space, text, n,
+                                                   z0, kind):
+        spec = FlowSpec(ex.parse(text, n), n, 0.5, space=space, integrator=integrator,
+                        step=1e-2, rel_tol=1e-9, abs_tol=1e-11, t_final=2.0)
+        point = PhasePoint(z0[:n], z0[n:], space=space)
+        fused = _flow(spec, point)
+        _wrapped_observer(monkeypatch)
+        assert _flow(spec, point) == fused
+        if kind == "error":
+            assert isinstance(fused[1], float) and 0.49 < fused[1] < 0.54
+        else:
+            assert len(np.frombuffer(fused[0])) > 50
+            energies = np.frombuffer(fused[2])
+            assert np.isinf(energies).all() if kind == "inf" else np.isfinite(energies).all()
+
+    def test_registered_observe_is_called_for_the_start_state_only(self):
+        # a profile hook, so that no wrapper hides the observe: fused flows
+        # call it at t = 0; the variational flow's generic loop at every sample
+        calls = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "observe"
+                    and frame.f_globals["__name__"] == "defham.dynamics"):
+                calls.append(frame.f_locals["t"])
+
+        h = ex.parse("y1^2/2 + (1 - cos(x1)) + x1^3/5", 1)
+        z0 = PhasePoint((0.9,), (-0.4,))
+        specs = [FlowSpec(h, 1, 1 / 3, integrator=kind, step=1e-2, t_final=2.0)
+                 for kind in ("rk4", "rkf45")]
+        sys.setprofile(profile)
+        try:
+            flows = [integrate(spec, z0) for spec in specs]
+            variational = integrate_variational(specs[0], z0)
+        finally:
+            sys.setprofile(None)
+        assert all(len(flow.ts) > 50 for flow in flows)
+        assert calls == [0.0, 0.0, *variational.trajectory.ts]
 
 
 def _wrapped(states, n):

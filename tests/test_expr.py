@@ -280,18 +280,22 @@ class TestSharedCompile:
 
     def test_regime_rates_free_their_jet_without_a_collection(self):
         # a generated function is popped from its exec namespace, so no
-        # reference cycle keeps it, or the jet it reaches, alive
+        # reference cycle keeps it alive; the rates inline the gradient, so
+        # they do not keep the jet they were generated from
         text = "x1*y1 - sin(y1)/7"
         probe = ex.parse(text, 1)
         gc.disable()
         try:
             spec = FlowSpec(ex.parse(text, 1), 1, 0.5)
             rates = _regime_rates(spec)
-            rates([0.3, 0.4])
-            del spec
+            want = rates([0.3, 0.4])
             assert probe in ex._COMPILED_JETS
-            del rates
+            del spec
             assert probe not in ex._COMPILED_JETS
+            assert rates([0.3, 0.4]) == want
+            probe = weakref.ref(rates)
+            del rates
+            assert probe() is None
         finally:
             gc.enable()
 

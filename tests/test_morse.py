@@ -408,7 +408,7 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
     except _Stop:
         pass
     except IntegrationError:
-        result.outcome = "escaped"
+        result.outcome = "blew_up"
     return result
 
 
@@ -584,7 +584,7 @@ class TestFusedWatch:
 
     def test_integration_error_in_the_box(self):
         # x1' = -1/x1^2 reaches x1 = 0 at t = 1/3, inside the box, where the
-        # step underflows: the shot escapes with its last accepted state
+        # step underflows: the shot blows up with its last accepted state
         zero = ex.parse("0", 2)
         spec = MorseSpec(2, ex.parse("x2^2 - 1/x1", 2), [zero, zero], zero)
         system = _System(spec, MorseOptions())
@@ -594,9 +594,25 @@ class TestFusedWatch:
         for keep in (False, True):
             got = morse._shoot(system, start, targets, 1e-9, 1e-11, keep)
             want = _generic_shoot(morse._shoot, system, start, targets, 1e-9, 1e-11, keep)
-            assert got.outcome == want.outcome == "escaped"
+            assert got.outcome == want.outcome == "blew_up"
             assert got.last_state == want.last_state and system.in_box(got.last_state)
             assert _shot_hash(start, got) == _shot_hash(start, want)
+
+    def test_blow_up_in_the_box_is_its_own_fate(self):
+        # the shot above ends in IntegrationError inside the box: a blow-up,
+        # which neither the escaped fraction nor a face-keyed fate counts;
+        # a blow-up past a face keeps that face's escape fate
+        zero = ex.parse("0", 2)
+        spec = MorseSpec(2, ex.parse("x2^2 - 1/x1", 2), [zero, zero], zero)
+        system = _System(spec, MorseOptions())
+        shot = morse._shoot(system, np.array([1.0, 0.5]), [np.array([1.5, -1.0])], 1e-9, 1e-11)
+        assert shot.outcome == "blew_up"
+        assert morse._fate(system, shot) == ("blew_up",)
+        [(axis, lo, hi), *_] = system.bounded_axes
+        past = [0.5] * system.dim
+        past[axis] = math.nextafter(hi, math.inf)
+        shot = morse._ShotResult("blew_up", None, [math.inf], [], last_state=past)
+        assert morse._fate(system, shot) == ("escaped", axis, 1)
 
     def test_watch_escapes_one_ulp_beyond_the_box(self, monkeypatch):
         # the box test of the watch is in_box's: a state at lo - 0.5 or
