@@ -244,6 +244,40 @@ _KIND_SCHEMAS = {
 }
 
 
+# RK4 steps (t_final / step) a scenario may declare: 100 times the golden
+# maxima, 10,000 per flow and 50,000 per sweep (regime_trichotomy), so that
+# a valid flow ends.  RKF45 paths end by their step budget instead.
+_RK4_STEPS_PER_FLOW = 1_000_000
+_RK4_STEPS_PER_SWEEP = 5_000_000
+
+
+def _sweep_wants_flow(doc) -> bool:
+    """Whether a sweep integrates H at each q: for a regime check or an
+    observable read from the flow."""
+    return any(c["type"] == "regime_trichotomy" for c in doc.get("checks", [])) or any(
+        obs in ("final_H", "delta_H", "delta_H_sign", "symplectic_defect")
+        for obs in doc["observables"])
+
+
+def _check_rk4_steps(doc) -> None:
+    """ScenarioError if the RK4 flows of a flow scenario declare more steps
+    than the bounds allow, per flow or in all of a sweep's flows."""
+    integ = doc.get("integrator", {"type": "rk4"})
+    if integ["type"] != "rk4":
+        return
+    steps = doc["t_final"] / integ.get("step", 1e-3)
+    if steps > _RK4_STEPS_PER_FLOW:
+        where = "/integrator/step" if "step" in integ else "/t_final"
+        raise ScenarioError(f"{where}: {steps:.3g} RK4 steps per flow (t_final / step) "
+                            f"exceed the bound of {_RK4_STEPS_PER_FLOW:,}")
+    if doc["kind"] == "sweep":
+        per_q = _sweep_wants_flow(doc) + ("symplectic_defect" in doc["observables"])
+        flows = len(doc["q_list"]) * per_q
+        if steps * flows > _RK4_STEPS_PER_SWEEP:
+            raise ScenarioError(f"/q_list: {steps * flows:.3g} RK4 steps in the sweep's {flows} "
+                                f"flows exceed the bound of {_RK4_STEPS_PER_SWEEP:,}")
+
+
 def _pointer(error) -> str:
     return "/" + "/".join(str(p) for p in error.absolute_path)
 
@@ -294,6 +328,8 @@ def validate_scenario(doc) -> dict:
             raise ScenarioError(f"/hamiltonian: {err}") from None
     if "z0" in doc and len(doc["z0"]) != 2 * n:
         raise ScenarioError(f"/z0: expected {2 * n} coordinates, got {len(doc['z0'])}")
+    if kind in ("simulate", "verify-flow", "sweep"):
+        _check_rk4_steps(doc)
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
         raise ScenarioError("/c: conformal mode requires the rate c")
     if kind == "morse":
@@ -586,12 +622,8 @@ def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
     row: dict = {"q": q, "error": "", "violations": dict.fromkeys(regime_tols, 1)}
     try:
         spec = _flow_spec(doc, hamiltonian, q)
-        wants_flow = regime_tols or any(
-            obs in doc["observables"]
-            for obs in ("final_H", "delta_H", "delta_H_sign", "symplectic_defect")
-        )
         trajectory = None
-        if wants_flow:
+        if _sweep_wants_flow(doc):
             trajectory = dyn.integrate(spec, _z0(doc))
             for tol in regime_tols:
                 row["violations"][tol] = dyn.regime_violations(spec, trajectory, tol)

@@ -11,28 +11,22 @@ from the exact symbolic Hessian of H.
 
 Both integrators are straight-line loops on lists of Python floats, each
 from one generator (_rk4_loop, _rkf45_loop) whose only fork is how a stage
-is written.  A flow's rhs is the field compiled once per (H, q)
-(HamiltonianField.compiled_field, from expr.compile_scaled); it carries its
-(scale, derivative) terms, so the path functions run it in a fused loop,
-generated once per rhs, whose stages compute those terms inline.  Any other
-rhs (the variational rhs, a wrapper such as a tracer's counting one) runs in
-the generic loop, generated once per state length, which calls it once per
-stage.  Both do the same operations in the same order, so they give the
-same path bit for bit.  The variational rhs is generated once per (H, q)
-too (HamiltonianField.variational_rhs): gradient entries inline, the field
-Jacobian from the compiled Hessian tuple, one BLAS product.
-
-An observe that carries its source (register_watch) runs inline in the
-fused loops of both schemes and is called for the start state only: the
-flow sampler (_make_observer, H written inline) and the Morse shot's watch.
-field_from_gradient stays the pointwise form for single evaluations.
+is written, and each cached by what it is generated from (_loop).  An rhs
+that carries its ``terms`` (the compiled field, the Morse rhs) runs in a
+loop whose stages compute those terms inline; any other rhs is called once
+per stage.  An observe that carries its ``watch`` runs that source inline
+in such a loop.  Both forms do the same operations in the same order, so
+they give the same path bit for bit.  The variational rhs is generated
+once per (H, q) (HamiltonianField.variational_rhs): gradient entries
+inline, the field Jacobian from the compiled Hessian tuple, one BLAS
+product.  field_from_gradient stays the pointwise form for single
+evaluations.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -235,6 +229,7 @@ def _stage(ks: str, args: Optional[list], terms: Optional[tuple]) -> list:
     return lines + [f"{indent}{k} = {v}" for k, v in zip(ks.split(", "), entries)]
 
 
+@functools.lru_cache(maxsize=64)
 def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
     """RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``, generated.
 
@@ -245,11 +240,10 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
     first stage of the next step gets.  Given the rhs's terms the stages are
     fused (_stage) and the loop never calls its rhs.
 
-    Given a watch (register_watch's source), the last argument is the
-    registered args, named ``watch``: setup runs once and body runs, with
-    t = k*h, where observe would be called.  body must not assign the
-    loop's names (its arguments, half, sixth, k, t, a_i, b_i, c_i, e_i,
-    s_i, z_i).
+    Given a watch source (see _loop), the last argument is the watch's
+    args, named ``watch``, and body runs with t = k*h where observe would be
+    called.  body must not assign the loop's names (its arguments, half,
+    sixth, k, t, a_i, b_i, c_i, e_i, s_i, z_i).
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
 
@@ -288,57 +282,29 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
                      non_finite=_NON_FINITE, IntegrationError=IntegrationError)
 
 
-@functools.lru_cache(maxsize=None)
-def _generic_loop(generator: Callable, d: int) -> Callable:
-    """The loop of ``generator`` for any rhs on states of length d."""
-    return generator(d)
-
-
-# rhs -> {generator, or (generator, watch source): its fused loop}, generated
-# when a path first takes that rhs (and watch).  A loop does not refer to its
-# rhs, so an entry goes with the rhs.
-_FUSED: "weakref.WeakKeyDictionary[Callable, dict]" = weakref.WeakKeyDictionary()
-
-
-# observe -> (source, args) of register_watch.  Keyed by the function itself,
-# so a wrapper of it has no watch; an entry goes with its function.
-_WATCHES: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
-
-
-def register_watch(observe: Callable, source: tuple, args: tuple) -> Callable:
-    """Record that ``observe(t, z)`` runs ``source`` = (setup, body), lines
-    of Python, on ``args``, and return observe.  setup binds names from the
-    tuple ``watch`` (args); body reads them, t, z and z_0, z_1, ..., and may
-    raise to end the path.  With a fused rhs, rk4_path and rkf45_path call
-    observe at t = 0 and their loop runs body inline after later samples
-    (_rk4_loop, _rkf45_loop), so state kept between samples lives in args.
-    The Morse shot watch (morse._System.watch) and the flow sampler
-    (_make_observer) are such sources."""
-    _WATCHES[observe] = (source, args)
-    return observe
-
-
 def _loop(generator: Callable, rhs: Callable, d: int, observe: Callable) -> tuple:
-    """(loop, last): the loop of ``generator`` (_rk4_loop or _rkf45_loop) for
-    ``rhs`` on states of length d, and what it takes in place of observe.
-    An rhs that carries its terms (expr.scaled_terms) gets its fused loop,
-    with observe's registered watch inline if it has one (register_watch):
-    last is then the watch's args.  Any other rhs gets the generic loop,
-    which calls rhs and observe."""
-    terms = ex.scaled_terms(rhs)
-    if terms is None:
-        return _generic_loop(generator, d), observe
-    try:
-        watch = _WATCHES.get(observe)
-    except TypeError:  # observe cannot be weakly referenced, so it was never registered
-        watch = None
+    """(loop, last): the loop of ``generator`` (_rk4_loop or _rkf45_loop)
+    for ``rhs`` on states of length d, and what it takes in place of
+    observe.  Each generator keeps its 64 last loops, keyed by d, the
+    terms (scales and trees, compared by value) and the watch source, so
+    equal fields and systems share a loop across paths and runs.
+
+    An rhs whose attribute ``terms`` holds (scale, expression) pairs
+    computes ``[c * e(z) for c, e in terms]`` (expr.compile_scaled) and gets
+    the loop that inlines them.  Then an observe whose attribute ``watch``
+    is (source, args) runs ``source`` = (setup, body), lines of Python,
+    inline: setup binds names from the tuple ``watch`` (args) once; body
+    reads them, t, z and z_0, z_1, ..., and may raise to end the path.  The
+    path calls observe itself at t = 0 only, so state kept between samples
+    lives in args; last is then args.  An rhs without terms gets the loop
+    that calls rhs at every stage and observe at every sample.  A wrapper
+    made with functools.wraps copies both attributes, so a caller that must
+    see every call hands the path a plain closure, as bench/tracer.py's
+    counting rhs is."""
+    terms = getattr(rhs, "terms", None)
+    watch = None if terms is None else getattr(observe, "watch", None)
     source, last = (None, observe) if watch is None else watch
-    loops = _FUSED.setdefault(rhs, {})
-    key = generator if source is None else (generator, source)
-    if key not in loops:
-        loops[key] = generator(len(terms), terms) if source is None else generator(
-            len(terms), terms, source)
-    return loops[key], last
+    return generator(d, terms, source), last
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
@@ -348,14 +314,8 @@ def rk4_path(rhs, z0, t_final, step, stride, observe):
     straight-line loop (_rk4_loop) and round exactly as the array form on
     float64 does.  A stage that raises OverflowError, ZeroDivisionError or
     ValueError (where float64 gives inf or nan), or a non-finite step,
-    raises IntegrationError.  Flows pass HamiltonianField.compiled_field,
-    which carries its terms, so it runs in the loop fused for it; any other
-    rhs, a wrapper of it included, runs in the generic loop, which calls it
-    4 times a step so that a wrapper sees every stage.  With a fused rhs, an
-    observe registered with register_watch (a flow's sampler) is called for
-    the start state only and its watch runs inline at every later sample;
-    any other observe, a wrapper of a registered one included, is called at
-    every sample.  _loop makes both choices, for both schemes.
+    raises IntegrationError.  _loop picks the loop from the attributes of
+    rhs and observe.
     """
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
@@ -375,6 +335,11 @@ _RKF_A = [
 ]
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+
+# Accepted RKF45 steps a path may take: over 100 times the most that one
+# path of the golden scenarios (1,643) or of the 40 bench seeds took.  A
+# step size that stalls above the underflow bound ends here.
+_RKF45_BUDGET = 200_000
 
 
 def _numpy_sum_source(terms: list[str]) -> str:
@@ -404,6 +369,7 @@ def _numpy_sum_source(terms: list[str]) -> str:
     return total
 
 
+@functools.lru_cache(maxsize=64)
 def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
     """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``, generated.
 
@@ -422,13 +388,14 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
     whose rhs raises OverflowError, ZeroDivisionError or ValueError is set
     to nan, as inf or nan would spread through the array form.  The first
     stage of an attempt gets the state list itself, which a rejected attempt
-    reuses; an accepted step makes a new list.  Given the rhs's terms the
+    reuses; an accepted step makes a new list.  Past _RKF45_BUDGET accepted
+    steps the path raises IntegrationError.  Given the rhs's terms the
     stages are fused (_stage) and the loop never calls its rhs.
 
-    Given a watch (register_watch's source), the last argument is the
-    registered args, named ``watch``: setup runs once and body runs where
-    observe would be called.  body must not assign the loop's names (its
-    arguments, t, r, accepted, err, f, a_i, b_i, e_i, k<j>_i, s_i, w_i, y_i, z_i).
+    Given a watch source (see _loop), the last argument is the watch's
+    args, named ``watch``, and body runs where observe would be called.
+    body must not assign the loop's names (its arguments, t, r, accepted,
+    err, f, a_i, b_i, e_i, k<j>_i, s_i, w_i, y_i, z_i).
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
@@ -481,6 +448,8 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
         f"            {zs}, = z = [{zs.replace('z_', 'y_')}]",
         *(f"            a_{i} = b_{i}" for i in comps),
         "            accepted += 1",
+        f"            if accepted > {_RKF45_BUDGET}:",
+        '                raise IntegrationError("step budget exhausted", t)',
         "            if accepted % stride == 0 or t >= t_final:",
         *after,
         f"        elif not ({' and '.join(f'isfinite({v}_{i})' for v in 'yw' for i in comps)}):",
@@ -507,16 +476,9 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     Where float64 arithmetic gives inf or nan, Python floats may raise
     OverflowError, ZeroDivisionError or ValueError.  Such a stage counts as
     non-finite: the step is quartered and retried, so a blow-up still ends
-    in IntegrationError once the step underflows.
-
-    An rhs that carries its terms (expr.compile_scaled, the Morse rhs) runs
-    in the loop fused for it; any other rhs, a wrapper of one included,
-    runs in the generic loop, which calls it 6 times an attempt so that a
-    wrapper sees every stage.  With a fused rhs, an observe registered with
-    register_watch (a flow's sampler, a Morse shot's watch) is called for
-    the start state only and its watch runs inline at every later sample;
-    any other observe, a wrapper of a registered one included, is called at
-    every sample.  _loop makes both choices, for both schemes.
+    in IntegrationError once the step underflows; a path whose step stalls
+    above that ends in IntegrationError past _RKF45_BUDGET accepted steps.
+    _loop picks the loop from the attributes of rhs and observe.
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
@@ -526,13 +488,12 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
 
 def _make_observer(hamiltonian: ex.Node, energy: Callable):
     """``(ts, states, es, observe)``: observe(t, z) keeps t, the integrator's
-    list z (new at each sample) and H(z).  observe is registered with its
-    source (_sampler), so a fused loop runs that inline and calls observe
-    for the start state only.  H is written inline on Python floats and
-    rounds as ``energy`` (H compiled, e.g. JetEvaluator.value); where Python
-    floats raise, energy is called on float64, which rounds the same but
-    gives inf or nan (a math function of those still raises, as
-    IntegrationError)."""
+    list z (new at each sample) and H(z).  observe carries its source
+    (_sampler) as its ``watch``, so a fused loop runs that inline (_loop).
+    H is written inline on Python floats and rounds as ``energy`` (H
+    compiled, e.g. JetEvaluator.value); where Python floats raise, energy is
+    called on float64, which rounds the same but gives inf or nan (a math
+    function of those still raises, as IntegrationError)."""
     ts, states, es = [], [], []
 
     def retry(t, z):
@@ -543,12 +504,14 @@ def _make_observer(hamiltonian: ex.Node, energy: Callable):
 
     source, make = _sampler(hamiltonian)
     args = (ts.append, states.append, es.append, retry, _NON_FINITE)
-    return ts, states, es, register_watch(make(args), source, args)
+    observe = make(args)
+    observe.watch = (source, args)
+    return ts, states, es, observe
 
 
 def _sampler(hamiltonian: ex.Node) -> tuple:
-    """(source, make): the sample watch of _make_observer as register_watch's
-    source, and ``make(args) -> observe`` running it on args = (ts.append,
+    """(source, make): the sample watch of _make_observer as a watch source
+    (see _loop), and ``make(args) -> observe`` running it on args = (ts.append,
     states.append, es.append, retry, the exceptions Python floats raise).
     H reads the first 2n components, so a state may carry more (a Jacobian)."""
     names = ex.coordinate_names("z_{}", hamiltonian.n)

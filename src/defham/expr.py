@@ -51,8 +51,6 @@ __all__ = [
     "compile_scaled",
     "coordinate_names",
     "scaled_entries",
-    "register_scaled",
-    "scaled_terms",
     "define",
     "hessian_index",
     "matrix_source",
@@ -647,36 +645,17 @@ def scaled_entries(terms: Iterable[tuple[float, Node]], pattern: str) -> list[st
     return [f"{c!r} * ({to_text(e, coordinate_names(pattern, e.n))})" for c, e in terms]
 
 
-# A function -> the (scale, expression) terms it computes as
-# [c * e(z) for c, e in terms], for loops that inline them.  Keyed by the
-# function itself, so a wrapper of it has no terms; an entry goes with its
-# function.
-_SCALED_TERMS: "weakref.WeakKeyDictionary[Callable, tuple]" = weakref.WeakKeyDictionary()
-
-
-def register_scaled(f: Callable, terms: Iterable[tuple[float, Node]]) -> Callable:
-    """Record that ``f(z)`` is ``[c * e(z) for c, e in terms]`` with the
-    rounding of scaled_entries, and return f."""
-    _SCALED_TERMS[f] = tuple(terms)
-    return f
-
-
-def scaled_terms(f: Callable) -> Optional[tuple]:
-    """The terms register_scaled recorded for ``f`` itself, else None."""
-    try:
-        return _SCALED_TERMS.get(f)
-    except TypeError:  # f cannot be weakly referenced, so it was never registered
-        return None
-
-
 def compile_scaled(
     terms: Iterable[tuple[float, Node]], module: str
 ) -> Callable[[Sequence[float]], list]:
-    """Compile ``z -> [c * e(z) for c, e in terms]`` (scaled_entries), which
-    carries its terms (scaled_terms); ``module`` is its ``__module__``."""
+    """Compile ``z -> [c * e(z) for c, e in terms]`` (scaled_entries); it
+    carries the terms as its attribute ``terms``, for the loops that inline
+    them.  ``module`` is its ``__module__``."""
     terms = tuple(terms)
     body = ", ".join(scaled_entries(terms, "z[{}]"))
-    return register_scaled(define(f"def _f(z):\n    return [{body}]\n", "_f", module), terms)
+    f = define(f"def _f(z):\n    return [{body}]\n", "_f", module)
+    f.terms = terms
+    return f
 
 
 def _variable_list(n: int) -> list[tuple[str, int]]:

@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .dynamics import IntegrationError, register_watch, rkf45_path
+from .dynamics import IntegrationError, rkf45_path
 from .phase import PhasePoint, TWO_PI
 
 __all__ = [
@@ -266,16 +266,17 @@ class _System:
         """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats,
         generated once: ``[c_i * g_i]`` over the first self.dim entries of
         ``jet.gradient(u)`` (a base-only gradient holds constant zeros past
-        them).  It carries its terms (c_i, i-th derivative), so rkf45_path
-        inlines them in a fused loop; only the generic loop, which a wrapped
-        rhs takes, calls jet.gradient, looked up per call so that a wrapper
-        patched on the class sees each one."""
+        them).  It carries its terms (c_i, i-th derivative) as ``rhs.terms``,
+        which rkf45_path inlines (dynamics._loop); a loop that calls it
+        looks jet.gradient up per call, so a wrapper patched on the class
+        sees each one."""
         g = [f"g{i}" for i in range(len(self.jet.derivatives))]
         scales = (-self.scales).tolist()
         scaled = ", ".join(f"{c!r} * {v}" for c, v in zip(scales, g))
         source = f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n"
         rhs = ex.define(source, "rhs", __name__, jet=self.jet)
-        return ex.register_scaled(rhs, zip(scales, self.jet.derivatives))
+        rhs.terms = tuple(zip(scales, self.jet.derivatives))
+        return rhs
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -322,7 +323,7 @@ class _System:
 
     def watch(self, count: int, keep_states: bool) -> tuple:
         """(source, make), generated once per (count, keep_states): the shot
-        watch for ``count`` targets as register_watch's source, and
+        watch for ``count`` targets as a watch source (dynamics._loop), and
         ``make(args) -> observe`` running it on args = (shot, hit, escape,
         lows, gates, near lists, target components).
 
@@ -628,9 +629,9 @@ def _shoot(
     of the shot for min_dist.
 
     Each step runs _System.watch on this shot's state.  The observe handed
-    to rkf45_path is that source, registered with it, so an untraced shot
-    runs it inline and calls back only through hit and escape; a wrapped
-    observe (the tracer's) is called every step, with the same bits.
+    to rkf45_path carries that source as its ``watch``, so the loop runs it
+    inline and calls back only through hit and escape; a loop that calls
+    observe gets the same bits.
     """
     opts = system.options
     delta = opts.capture_radius
@@ -652,7 +653,8 @@ def _shoot(
     source, make = system.watch(len(targets), keep_states)
     goals = [v for t in targets for v in np.asarray(t, dtype=float).tolist()]
     args = (result, hit, escape, lows, gates, *near, *goals)
-    observe = register_watch(make(args), source, args)
+    observe = make(args)
+    observe.watch = (source, args)
     try:
         rkf45_path(
             system.rhs, start, opts.t_max, rel_tol, abs_tol, stride=1, observe=observe

@@ -317,9 +317,18 @@ class TestRun:
              "/hamiltonian: expression nested too deeply"),
             ("classify_conformal", {"hamiltonian": " + ".join(["x1*y1"] * 3000)},
              "/hamiltonian: expression nested too deeply"),
+            # 10^15 RK4 steps would run without end; the bounds are 10^6 a
+            # flow (t_final / step, default step 1e-3) and 5 * 10^6 a sweep
+            ("oscillator_energy", {"t_final": 1e6, "integrator": {"type": "rk4", "step": 1e-9}},
+             r"/integrator/step: 1e\+15 RK4 steps per flow .* 1,000,000"),
+            ("pendulum_symplectic", {"t_final": 1001.0, "integrator": {"type": "rk4"}},
+             r"/t_final: 1e\+06 RK4 steps per flow"),
+            ("regime_trichotomy", {"q_list": [0.5] * 501},
+             r"/q_list: 5.01e\+06 RK4 steps in the sweep's 501 flows .* 5,000,000"),
         ],
         ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
-             "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum"],
+             "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum",
+             "simulate_rk4_steps", "verify_flow_default_rk4_steps", "sweep_rk4_steps"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
@@ -563,6 +572,14 @@ class TestPipelineFailures:
                  "hamiltonian": " + ".join(["x1^2/2", "y1^2/2"] * 1500),
                  "z0": [1.0, 0.0], "t_final": 0.01},
                 "RecursionError: maximum recursion depth exceeded",
+            ),
+            (
+                # x1 stalls at 709.78, where exp overflows: the accepted steps
+                # (about 3e-14) stay above the underflow bound
+                {"kind": "simulate", "name": "stalled step", "n": 1, "q": 1.0,
+                 "hamiltonian": "y1 + exp(x1)*10^-300", "z0": [709.0, 0.0], "t_final": 2.0,
+                 "integrator": {"type": "rkf45", "rel_tol": 1e-9, "abs_tol": 1e-11}},
+                "IntegrationError: step budget exhausted at t=0.782713",
             ),
         ],
     )

@@ -468,9 +468,8 @@ def _observed(path, rhs, z0, *args):
 def _fused_and_generic(path, rhs, z0, *args):
     """The observed paths of the fused loop of a compiled rhs and of the
     generic loop, which a plain closure around it takes."""
-    fused = _observed(path, rhs, z0, *args)
-    assert ex.scaled_terms(rhs) is not None and rhs in dynamics._FUSED
-    return fused, _observed(path, lambda z: rhs(z), z0, *args)
+    assert rhs.terms
+    return _observed(path, rhs, z0, *args), _observed(path, lambda z: rhs(z), z0, *args)
 
 
 class TestFusedLoop:
@@ -546,102 +545,71 @@ class TestFusedLoop:
                 raise
 
         path = dynamics.rk4_path if integrator == "rk4" else rkf45_path
+        assert rhs.terms
         fused = _observed(path, rhs, z0, *args)
-        assert rhs in dynamics._FUSED
         assert fused == _observed(path, recording, z0, *args)
         assert fused[1] is not None and set(raised) == {error}
         if integrator == "rk4":
             assert fused[1][2] is error
 
-    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
-    def test_wrapped_rhs_takes_the_generic_loop(self, integrator):
-        # functools.wraps copies a function's __dict__, so the terms are not
-        # found on the wrapper: it sees 4 calls per RK4 step, 6 per attempt
-        rhs = HamiltonianField(ex.parse(OSC, 1), 0.5).compiled_field
-        calls = 0
-
-        @functools.wraps(rhs)
-        def wrapped(z):
-            nonlocal calls
-            calls += 1
-            return rhs(z)
-
-        assert ex.scaled_terms(rhs) is not None and ex.scaled_terms(wrapped) is None
-        if integrator == "rk4":
-            got = _observed(dynamics.rk4_path, wrapped, [1.0, 2.0], 1.0, 1e-2, 1)
-            assert calls == 4 * 100
-            assert got == _observed(dynamics.rk4_path, rhs, [1.0, 2.0], 1.0, 1e-2, 1)
-        else:
-            got = _observed(rkf45_path, wrapped, [1.0, 2.0], 1.0, 1e-10, 1e-12, 1)
-            assert calls >= 6 * (len(got[0]) - 1) and calls % 6 == 0
-            assert got == _observed(rkf45_path, rhs, [1.0, 2.0], 1.0, 1e-10, 1e-12, 1)
-
     def test_rhs_without_weak_references_takes_the_generic_loop(self):
-        # a ufunc cannot be weakly referenced, so it never carries terms
-        assert ex.scaled_terms(np.negative) is None
+        # a ufunc carries no terms, so the loop calls it at every stage
+        assert getattr(np.negative, "terms", None) is None
         got = _observed(dynamics.rk4_path, np.negative, [1.0, 2.0], 1.0, 0.25, 1)
         assert len(got[0]) == 5
         assert got == _observed(dynamics.rk4_path, lambda z: np.negative(z), [1.0, 2.0], 1.0, 0.25, 1)
 
-    def test_generated_once_per_rhs_and_freed_with_it(self, monkeypatch):
+    def test_one_loop_per_scheme_and_watch_kind(self, monkeypatch):
+        # loops are cached by (d, terms, watch source): equal fields and
+        # equal systems share them, and a repeated flow generates none
         generated = []
-        generator = dynamics._rkf45_loop
+        define = ex.define
 
-        def counting(d, terms=None):
-            generated.append(terms is not None)
-            return generator(d, terms)
+        def counting(source, name, module, **env):
+            if name == "loop":
+                generated.append(source.split("\n", 1)[0])
+            return define(source, name, module, **env)
 
-        monkeypatch.setattr(dynamics, "_rkf45_loop", counting)
-        system = _System(circle_spec(), MorseOptions())
-        for z0 in ([0.03, 1.02, -0.5, 0.04], [-0.02, 0.99, 0.51, -0.03]):
-            rkf45_path(system.rhs, z0, 1.0, 1e-9, 1e-11, 1, lambda t, z: None)
-        assert generated == [True]
-        loop = dynamics._FUSED[system.rhs][counting]
-        assert loop.__module__ == "defham.dynamics"
-        probe = weakref.ref(loop)
-        del loop
-        gc.disable()
-        try:
-            del system
-            assert probe() is None
-        finally:
-            gc.enable()
+        monkeypatch.setattr(ex, "define", counting)
+        dynamics._rk4_loop.cache_clear()
+        dynamics._rkf45_loop.cache_clear()
+        z0 = [1.0, 2.0]
+        for _ in range(2):
+            field = HamiltonianField(ex.parse(OSC, 1), 0.5)
+            _, _, _, sampler = dynamics._make_observer(field.jet.expression, field.jet.value)
+            for observe in (lambda t, z: None, sampler):
+                dynamics.rk4_path(field.compiled_field, z0, 1.0, 1e-2, 1, observe)
+                rkf45_path(field.compiled_field, z0, 1.0, 1e-9, 1e-11, 1, observe)
+        assert len(generated) == 4 and len(set(generated)) == 4
+        # integrate of the same (H, q) takes the sampler's loop above
+        integrate(FlowSpec(ex.parse(OSC, 1), 1, 0.5, integrator="rkf45"), PhasePoint((1.0,), (2.0,)))
+        assert len(generated) == 4
+        spec = FlowSpec(ex.parse("y1^2/2 + (1 - cos(x1))", 1), 1, 0.5, t_final=1.0)
+        for _ in range(2):
+            integrate(spec, PhasePoint((1.0,), (2.0,)))
+            assert len(generated) == 5
 
-        # the loop with a shot's watch inline: once per (rhs, target count,
-        # keep_states), freed with its system; a shot's registered observe
-        # and its hit, whose arguments hold the shot's state (its gate list
-        # too), are freed when the shot returns: no registry value refers to
-        # its key
-        watches, shots = [], []
-
-        def counting_watch(d, terms=None, watch=None):
-            watches.append(watch)
-            return generator(d, terms, watch)
+        # a shot's loop: one per (target count, keep_states) for equal
+        # systems; its observe and its hit, whose arguments hold the shot's
+        # state (its gate list too), are freed when the shot returns
+        shots = []
 
         def path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
-            hit = dynamics._WATCHES[observe][1][1]  # args, see _System.watch
+            hit = observe.watch[1][1]  # args, see _System.watch
             shots.extend((weakref.ref(observe), weakref.ref(hit)))
             return rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe)
 
-        monkeypatch.setattr(dynamics, "_rkf45_loop", counting_watch)
         monkeypatch.setattr(morse, "rkf45_path", path)
-        system = _System(circle_spec(), MorseOptions())
         start, one, two = [0.03, 1.02, -0.5, 0.04], [np.zeros(4)], [np.zeros(4), np.ones(4)]
-        for targets, keep in [(one, False), (two, False), (one, True), (one, False), (two, True),
-                              (one, True), (two, False)]:
-            morse._shoot(system, start, targets, 1e-6, 1e-8, keep)
-        kinds = [(1, False), (2, False), (1, True), (2, True)]
-        assert watches == [system.watch(*kind)[0] for kind in kinds]
-        loops = dynamics._FUSED[system.rhs]
-        assert len(loops) == 4 and loops[counting_watch, watches[0]].__module__ == "defham.dynamics"
-        probe = weakref.ref(loops[counting_watch, watches[0]])
-        del loops
+        for _ in range(2):
+            system = _System(circle_spec(), MorseOptions())
+            for targets, keep in [(one, False), (two, False), (one, True), (one, False)]:
+                morse._shoot(system, start, targets, 1e-6, 1e-8, keep)
+        assert len(generated) == 8
         gc.disable()
         try:
             morse._shoot(system, start, two, 1e-6, 1e-8, True)
-            assert len(shots) == 16 and all(ref() is None for ref in shots)
-            del system
-            assert probe() is None
+            assert len(shots) == 18 and all(ref() is None for ref in shots)
         finally:
             gc.enable()
 
@@ -984,7 +952,7 @@ def _flow(spec, z0):
 
 
 class TestSampleWatch:
-    """A flow's observer is a registered watch (_make_observer): the fused
+    """A flow's observer carries its watch (_make_observer): the fused
     RK4 and RKF45 loops run it inline and must sample as the loop that calls
     a wrapped observe at every sample."""
 

@@ -529,7 +529,7 @@ class TestShotObserverCertificate:
 
 def _generic_shoot(shoot, system, start, targets, rel_tol, abs_tol, keep_states=False):
     """shoot with its observe wrapped: RKF45 then takes the loop that calls
-    it after every step, where it runs the registered watch inline."""
+    it after every step, where it runs the watch source inline."""
 
     def path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
         return rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, lambda t, z: observe(t, z))
