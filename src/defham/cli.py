@@ -249,6 +249,9 @@ _KIND_SCHEMAS = {
 # a valid flow ends.  RKF45 paths end by their step budget instead.
 _RK4_STEPS_PER_FLOW = 1_000_000
 _RK4_STEPS_PER_SWEEP = 5_000_000
+# floats one RK4 flow may store (samples times state length): 125 times the
+# golden maximum of 20,002 (regime_trichotomy: 10,001 samples of 2)
+_RK4_FLOATS_PER_FLOW = 2_500_000
 
 
 def _sweep_wants_flow(doc) -> bool:
@@ -259,18 +262,27 @@ def _sweep_wants_flow(doc) -> bool:
         for obs in doc["observables"])
 
 
-def _check_rk4_steps(doc) -> None:
+def _check_rk4_bounds(doc) -> None:
     """ScenarioError if the RK4 flows of a flow scenario declare more steps
-    than the bounds allow, per flow or in all of a sweep's flows."""
+    than the bounds allow, per flow or in all of a sweep's flows, or if one
+    flow would store more floats than its bound."""
     integ = doc.get("integrator", {"type": "rk4"})
     if integ["type"] != "rk4":
         return
     steps = doc["t_final"] / integ.get("step", 1e-3)
+    where = "/integrator/step" if "step" in integ else "/t_final"
     if steps > _RK4_STEPS_PER_FLOW:
-        where = "/integrator/step" if "step" in integ else "/t_final"
         raise ScenarioError(f"{where}: {steps:.3g} RK4 steps per flow (t_final / step) "
                             f"exceed the bound of {_RK4_STEPS_PER_FLOW:,}")
-    if doc["kind"] == "sweep":
+    n, kind = doc["n"], doc["kind"]
+    variational = kind == "verify-flow" or "symplectic_defect" in doc.get("observables", [])
+    size = 2 * n + 4 * n * n if variational else 2 * n  # the largest flow's state
+    samples = math.ceil(steps / doc.get("sample_stride", 1)) + 1
+    if samples * size > _RK4_FLOATS_PER_FLOW and (kind != "sweep" or _sweep_wants_flow(doc)):
+        where = where if kind == "sweep" else "/sample_stride"
+        raise ScenarioError(f"{where}: {samples:,} samples of {size} floats in one RK4 flow "
+                            f"exceed the bound of {_RK4_FLOATS_PER_FLOW:,} stored floats")
+    if kind == "sweep":
         per_q = _sweep_wants_flow(doc) + ("symplectic_defect" in doc["observables"])
         flows = len(doc["q_list"]) * per_q
         if steps * flows > _RK4_STEPS_PER_SWEEP:
@@ -329,7 +341,7 @@ def validate_scenario(doc) -> dict:
     if "z0" in doc and len(doc["z0"]) != 2 * n:
         raise ScenarioError(f"/z0: expected {2 * n} coordinates, got {len(doc['z0'])}")
     if kind in ("simulate", "verify-flow", "sweep"):
-        _check_rk4_steps(doc)
+        _check_rk4_bounds(doc)
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
         raise ScenarioError("/c: conformal mode requires the rate c")
     if kind == "morse":

@@ -291,12 +291,33 @@ class _System:
         out[:n] = np.mod(out[:n], TWO_PI)
         return out
 
-    def distance(self, u: np.ndarray, v: np.ndarray) -> float:
-        d = self.displacement(v, u)
-        return math.sqrt(d.dot(d))  # np.linalg.norm's own formula, minus its overhead
+    def _square_sum(self, u: str, v: str) -> list[str]:
+        """Lines setting sq to the sum, left to right, of the squares of the
+        shortest displacement u - v; ``u`` and ``v`` name the components,
+        e.g. ``z_{}``, and torus angles are reduced as displacement does."""
+        axes = range(self.dim)
+        lines = []
+        for i in axes:
+            d = f"{u.format(i)} - {v.format(i)}"
+            if self.wrap and i < self.spec.n:
+                d = f"({d} + {math.pi!r}) % {TWO_PI!r} - {math.pi!r}"
+            lines.append(f"u{i} = {d}")
+        return lines + ["sq = " + " + ".join(f"u{i} * u{i}" for i in axes)]
+
+    @functools.cached_property
+    def distance(self) -> Callable[[Sequence[float], Sequence[float]], float]:
+        """(u, v) -> the length of the shortest displacement u - v, generated
+        once: the root of the sum of squares that the shot watch takes."""
+        axes = range(self.dim)
+        lines = ["def distance(a, b):",
+                 "    " + ", ".join(f"a_{i}" for i in axes) + ", = a",
+                 "    " + ", ".join(f"b_{i}" for i in axes) + ", = b"]
+        lines += ["    " + line for line in self._square_sum("a_{}", "b_{}")]
+        lines.append("    return sqrt(sq)")
+        return ex.define("\n".join(lines) + "\n", "distance", __name__, sqrt=math.sqrt)
 
     def displacement(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Shortest v - u, reducing angular components to (-pi, pi].
+        """Shortest v - u, reducing angular components to [-pi, pi).
 
         v may be a stack of points, one per row.
         """
@@ -324,50 +345,40 @@ class _System:
     def watch(self, count: int, keep_states: bool) -> tuple:
         """(source, make), generated once per (count, keep_states): the shot
         watch for ``count`` targets as a watch source (dynamics._loop), and
-        ``make(args) -> observe`` running it on args = (shot, hit, escape,
-        lows, gates, near lists, target components).
+        ``make(args) -> observe`` running it on args = (shot, stop, root,
+        lows, target components), root being math.sqrt.
 
-        Per step: shot.last_state = z (and z joins shot.states if kept);
-        per target, sq sums the squares of displacement's NumPy row, bit for
-        bit, left to right; if sq <= the gate, z joins the near list, the
-        least sum and gate fall (max(a, b) is ``b if b > a else a``), and
-        hit(k, z) runs if sq <= cap.  Last, escape() if out of the box by 0.5.
+        Per step: shot.last_state = z (and z joins shot.states if kept); per
+        target, in order, sq is the sum of distance's squares; a sum below
+        the least one so far replaces it in lows and, if its root is below
+        delta, sets the capture and raises stop.  Last, a state more than 0.5
+        outside the box sets "escaped" and raises stop.
         """
         key = (count, keep_states)
         if key in self._watches:
             return self._watches[key]
         axes, targets = range(self.dim), range(count)
         delta = self.options.capture_radius
-        cap = repr(delta * delta * _BAND + _TINY)
-        names = [f"near{k}" for k in targets] + [f"p{k}_{i}" for k in targets for i in axes]
-        setup = [", ".join(["shot", "hit", "escape", "lows", "gates", *names]) + ", = watch"]
+        names = [f"p{k}_{i}" for k in targets for i in axes]
+        setup = [", ".join(["shot", "stop", "root", "lows", *names]) + ", = watch"]
         if count:
-            setup += [f"{', '.join(f'l{k}' for k in targets)}, = lows",
-                      f"{', '.join(f'g{k}' for k in targets)}, = gates"]
+            setup.append(f"{', '.join(f'l{k}' for k in targets)}, = lows")
         body = ["shot.last_state = z"]
         if keep_states:
             setup.append("store = shot.states.append")
             body.append("store(z)")
         for k in targets:
-            for i in axes:
-                d = f"z_{i} - p{k}_{i}"
-                if self.wrap and i < self.spec.n:
-                    d = f"({d} + {math.pi!r}) % {TWO_PI!r} - {math.pi!r}"
-                body.append(f"u{i} = {d}")
+            body += self._square_sum("z_{}", f"p{k}_{{}}")
             body += [
-                "sq = " + " + ".join(f"u{i} * u{i}" for i in axes),
-                f"if sq <= g{k}:",
-                f"    near{k}.append((sq, z))",
-                f"    if sq < l{k}:",
-                f"        lows[{k}] = l{k} = sq",
-                f"        edge = sq * {_BAND!r} + {_TINY!r}",
-                f"        gates[{k}] = g{k} = {cap} if {cap} > edge else edge",
-                f"    if sq <= {cap}:",
-                f"        hit({k}, z)",
+                f"if sq < l{k}:",
+                f"    lows[{k}] = l{k} = sq",
+                f"    if root(sq) < {delta!r}:",
+                f"        shot.outcome, shot.target = 'captured', {k}",
+                "        raise stop",
             ]
         outside = self._outside(0.5, "z_{}")
         if outside:
-            body += [f"if {outside}:", "    escape()"]
+            body += [f"if {outside}:", "    shot.outcome = 'escaped'", "    raise stop"]
         source = ("\n".join(setup), "\n".join(body))
         lines = ["def make(watch):", "    def observe(t, z):"]
         lines += ["        " + line for line in setup]
@@ -577,12 +588,6 @@ _SEPARATRIX_REL_TOL = 1e-12
 _REFINE_GATE = 0.5
 
 
-# the band of _shoot's float sums: (1 + gamma_d)**2 / (1 - gamma_d)**2 < _BAND
-# for any dimension d below 2**11, and _TINY covers squares that underflow
-_BAND = 1.0 + 2.0**-40
-_TINY = 2.0**-1000
-
-
 class _Stop(Exception):
     """Ends a shot from inside its observer."""
 
@@ -615,44 +620,20 @@ def _shoot(
     keep_states: bool = False,
 ) -> _ShotResult:
     """One RKF45 shot from start until it enters the capture ball of a target
-    (checked in target order each step), leaves the box or times out.
-
-    min_dist[i] is the least system.distance (a BLAS ddot) from a state to
-    target i, but each step sums its squared distances left to right on
-    Python floats.  Both sums of the d terms, all >= 0, lie within
-    gamma_d = d*u / (1 - d*u) (u = 2**-53) of the exact sum, whatever order
-    the BLAS sums in and with or without fused multiply-adds; squares that
-    underflow add at most d * 2**-1075.  So only a state whose float sum lies
-    within _BAND (plus _TINY) of the least one can hold the least ddot, and
-    only one within _BAND of delta**2 can be captured.  The ddot is taken
-    for those states alone: at once for a possible capture, and at the end
-    of the shot for min_dist.
+    (system.distance below delta, checked in target order each step), leaves
+    the box or times out.  min_dist[i] is the least system.distance from a
+    state to target i.
 
     Each step runs _System.watch on this shot's state.  The observe handed
     to rkf45_path carries that source as its ``watch``, so the loop runs it
-    inline and calls back only through hit and escape; a loop that calls
-    observe gets the same bits.
+    inline; a loop that calls observe gets the same bits.
     """
     opts = system.options
-    delta = opts.capture_radius
-    result = _ShotResult("timeout", None, [math.inf] * len(targets), [])
-    lows = [math.inf] * len(targets)  # least float sum per target
-    gates = [math.inf] * len(targets)  # max(band edge of lows, cap)
-    near: list[list] = [[] for _ in targets]  # (sum, state) under the gate
-
-    def hit(idx, z):
-        if system.distance(z, targets[idx]) < delta:
-            result.outcome = "captured"
-            result.target = idx
-            raise _Stop
-
-    def escape():
-        result.outcome = "escaped"
-        raise _Stop
-
+    result = _ShotResult("timeout", None, [], [])
+    lows = [math.inf] * len(targets)  # least sum of squares per target
     source, make = system.watch(len(targets), keep_states)
     goals = [v for t in targets for v in np.asarray(t, dtype=float).tolist()]
-    args = (result, hit, escape, lows, gates, *near, *goals)
+    args = (result, _Stop, math.sqrt, lows, *goals)
     observe = make(args)
     observe.watch = (source, args)
     try:
@@ -663,13 +644,7 @@ def _shoot(
         pass
     except IntegrationError:
         result.outcome = "blew_up"
-    for idx, states in enumerate(near):
-        edge = lows[idx] * _BAND + _TINY
-        for s, z in states:
-            if s <= edge:
-                dist = system.distance(z, targets[idx])
-                if dist < result.min_dist[idx]:
-                    result.min_dist[idx] = dist
+    result.min_dist = [math.sqrt(s) for s in lows]
     return result
 
 
@@ -828,7 +803,7 @@ def _bisect_lines(
                 lines.append((mid, shot))
                 captured = True
                 break
-            closest = float(np.min(shot.min_dist, initial=np.inf))
+            closest = min(shot.min_dist, default=math.inf)
             if closest < best[0]:
                 best = (closest, mid)
             if fm == fa:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from defham import expr as ex
+from defham import morse
 from defham.bracket import admissibility_defect, jacobi_defect
 from defham.cli import EXIT_PASS, run_scenario
 from defham.dynamics import (
@@ -47,6 +48,18 @@ GOLDEN = [
 ]
 # `python tools/golden_sha256.py` output: "<sha256>  <scenario>/<file>" lines
 GOLDEN_SHA256 = Path(__file__).resolve().parent / "golden_sha256.txt"
+
+
+# raw flow-line counts of each complex a golden scenario builds, in build
+# order; the golden bytes keep some only mod 2, so 0 lines where there are 2
+# would keep every hash.  Scenarios not named build none.
+_CIRCLE_LINES = {((2, 0), (1, 0)): 2}
+_TORUS_LINES = {((1, 0), (0, 0)): 2, ((1, 1), (0, 0)): 2, ((2, 0), (1, 0)): 2, ((2, 0), (1, 1)): 2}
+FLOW_LINE_COUNTS = {
+    "adiabatic_s1": [_CIRCLE_LINES],
+    "morse_s1": [_CIRCLE_LINES] * 3,  # q = 1, 1/2, 1/4
+    "morse_t2": [_TORUS_LINES],
+}
 
 
 def _pinned_sha256(stem: str) -> dict:
@@ -241,11 +254,22 @@ def test_criterion_10_metric_geometry():
 
 
 @pytest.mark.parametrize("scenario", GOLDEN)
-def test_criterion_11_determinism(tmp_path, scenario):
+def test_criterion_11_determinism(monkeypatch, tmp_path, scenario):
     # Repeated runs of every golden scenario are byte-identical, and the
-    # first run writes the pinned golden bytes.
+    # first run writes the pinned golden bytes and finds the pinned raw
+    # flow-line counts.
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_scenario(scenario, out1) == EXIT_PASS
+    counts, build = [], morse.build_complex
+
+    def recording(*args, **kwargs):
+        complex_ = build(*args, **kwargs)
+        counts.append(complex_.flow_line_counts)
+        return complex_
+
+    with monkeypatch.context() as patch:
+        patch.setattr(morse, "build_complex", recording)
+        assert run_scenario(scenario, out1) == EXIT_PASS
+    assert counts == FLOW_LINE_COUNTS.get(scenario.stem, [])
     assert run_scenario(scenario, out2) == EXIT_PASS
     names = sorted(p.name for p in out1.iterdir())
     digests = {name: hashlib.sha256((out1 / name).read_bytes()).hexdigest() for name in names}

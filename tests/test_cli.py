@@ -325,10 +325,22 @@ class TestRun:
              r"/t_final: 1e\+06 RK4 steps per flow"),
             ("regime_trichotomy", {"q_list": [0.5] * 501},
              r"/q_list: 5.01e\+06 RK4 steps in the sweep's 501 flows .* 5,000,000"),
+            # one flow stores (steps / sample_stride + 1) states of 2n floats,
+            # 2n + 4n^2 for a variational flow; the bound is 2.5 * 10^6 floats
+            ("oscillator_energy",
+             {"n": 6, "z0": [1.0] * 12, "t_final": 1000.0, "sample_stride": 1},
+             r"/sample_stride: 1,000,001 samples of 12 floats .* 2,500,000 stored floats"),
+            ("pendulum_symplectic",
+             {"t_final": 500.0, "integrator": {"type": "rk4"}, "sample_stride": 1},
+             r"/sample_stride: 500,001 samples of 6 floats"),
+            ("regime_trichotomy", {"q_list": [0.5], "t_final": 1000.0,
+                                   "observables": ["symplectic_defect"]},
+             r"/integrator/step: 1,000,001 samples of 6 floats"),
         ],
         ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
              "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum",
-             "simulate_rk4_steps", "verify_flow_default_rk4_steps", "sweep_rk4_steps"],
+             "simulate_rk4_steps", "verify_flow_default_rk4_steps", "sweep_rk4_steps",
+             "simulate_rk4_samples", "verify_flow_rk4_samples", "sweep_rk4_samples"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)

@@ -590,13 +590,13 @@ class TestFusedLoop:
             assert len(generated) == 5
 
         # a shot's loop: one per (target count, keep_states) for equal
-        # systems; its observe and its hit, whose arguments hold the shot's
-        # state (its gate list too), are freed when the shot returns
+        # systems; its observe and its result, which the watch's arguments
+        # hold, are freed when the shot returns
         shots = []
 
         def path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
-            hit = observe.watch[1][1]  # args, see _System.watch
-            shots.extend((weakref.ref(observe), weakref.ref(hit)))
+            result = observe.watch[1][0]  # args, see _System.watch
+            shots.extend((weakref.ref(observe), weakref.ref(result)))
             return rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe)
 
         monkeypatch.setattr(morse, "rkf45_path", path)
