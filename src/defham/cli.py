@@ -163,7 +163,7 @@ _KIND_SCHEMAS = {
             "q_list": {"type": "array", "items": {"type": "number"}},
             "pairs": {"type": "integer", "minimum": 1},
             "points": {"type": "integer", "minimum": 1},
-            "jacobi_triples": {"type": "integer", "minimum": 0},
+            "jacobi_triples": {"type": "integer", "minimum": 1},
             "degree": {"type": "integer", "minimum": 1},
             "thresholds": {
                 "type": "object",

@@ -12,7 +12,7 @@ import functools
 import math
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -79,10 +79,22 @@ class EvalError(ExprError):
 # expressions (derivatives, assembled Hamiltonians) keep their variable range.
 
 
+def define(source: str, name: str, module: str, **env) -> Callable:
+    """The function ``name`` that the generated ``source`` defines, run with
+    ``__name__ = module`` (its ``__module__``) and sin, cos, exp, inf and
+    ``env`` in scope.  It is popped from the namespace it was run in, so no
+    reference cycle keeps it, or what it reaches, alive."""
+    namespace = {"__name__": module, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "inf": math.inf, **env}
+    exec(source, namespace)
+    return namespace.pop(name)
+
+
 def _node(cls):
     """A frozen dataclass whose hash, the one the dataclass computes from
     its fields, is computed once: a node never changes, and a tree is
-    otherwise rehashed whole at every lookup of it."""
+    otherwise rehashed whole at every lookup of it.  Its generated
+    ``__init__`` calls one global ``object.__setattr__`` per field."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -94,6 +106,10 @@ def _node(cls):
         return h
 
     cls.__hash__ = __hash__
+    names = [f.name for f in fields(cls)]
+    sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    cls.__init__ = define(f"def __init__(self, {', '.join(names)}):{sets}\n", "__init__",
+                          __name__, _set=object.__setattr__)
     return cls
 
 
@@ -162,7 +178,8 @@ class Call(Node):
 # ---------------------------------------------------------------------------
 # Smart constructors: constant folding plus 0/1 identities, nothing more.
 # The identities are tested before two constants are folded: they give the
-# same tree without any Fraction arithmetic.
+# same tree without any Fraction arithmetic, and read a constant's reduced
+# numerator and denominator (0: numerator 0; 1: the two equal), not its ==.
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -179,66 +196,72 @@ def var(kind: str, index: int, n: int) -> Var:
     return Var(n, kind, index)
 
 
+@functools.lru_cache(maxsize=None)
+def _units(n: int) -> tuple[Const, Const]:
+    """The constants 0 and 1 of dimension n, shared by every derivative."""
+    return Const(n, _ZERO), Const(n, _ONE)
+
+
 def _join_n(a: Node, b: Node) -> int:
     if a.n != b.n:
         raise ExprError(f"dimension mismatch: {a.n} vs {b.n}")
     return a.n
 
 
-def _is_const(e: Node, value) -> bool:
-    return isinstance(e, Const) and e.value == value
-
-
 def add(a: Node, b: Node) -> Node:
-    n = _join_n(a, b)
-    if _is_const(a, 0):
+    n = a.n if a.n == b.n else _join_n(a, b)
+    if type(a) is Const and not a.value._numerator:
         return b
-    if isinstance(b, Const):
-        if b.value == 0:
+    if type(b) is Const:
+        if not b.value._numerator:
             return a
-        if isinstance(a, Const):
+        if type(a) is Const:
             return Const(n, a.value + b.value)
     return Add(n, a, b)
 
 
 def sub(a: Node, b: Node) -> Node:
-    n = _join_n(a, b)
-    if _is_const(b, 0):
+    n = a.n if a.n == b.n else _join_n(a, b)
+    if type(b) is Const and not b.value._numerator:
         return a
-    if isinstance(a, Const):
-        if a.value == 0:
+    if type(a) is Const:
+        if not a.value._numerator:
             return neg(b)
-        if isinstance(b, Const):
+        if type(b) is Const:
             return Const(n, a.value - b.value)
     return Sub(n, a, b)
 
 
 def mul(a: Node, b: Node) -> Node:
-    n = _join_n(a, b)
-    if isinstance(a, Const):
-        if a.value == 0:
+    n = a.n if a.n == b.n else _join_n(a, b)
+    if type(a) is Const:
+        v = a.value
+        if not v._numerator:
             return a
-        if a.value == 1:
+        if v._numerator == v._denominator:
             return b
-    if isinstance(b, Const):
-        if b.value == 0:
+    if type(b) is Const:
+        v = b.value
+        if not v._numerator:
             return b
-        if b.value == 1:
+        if v._numerator == v._denominator:
             return a
-        if isinstance(a, Const):
-            return Const(n, a.value * b.value)
+        if type(a) is Const:
+            return Const(n, a.value * v)
     return Mul(n, a, b)
 
 
 def div(a: Node, b: Node) -> Node:
-    n = _join_n(a, b)
-    if _is_const(b, 0):
-        raise ExprError("division by constant zero")
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(n, a.value / b.value)
-    if _is_const(b, 1):
-        return a
-    if _is_const(a, 0):
+    n = a.n if a.n == b.n else _join_n(a, b)
+    if type(b) is Const:
+        v = b.value
+        if not v._numerator:
+            raise ExprError("division by constant zero")
+        if type(a) is Const:
+            return Const(n, a.value / v)
+        if v._numerator == v._denominator:
+            return a
+    if type(a) is Const and not a.value._numerator:
         return a
     return Div(n, a, b)
 
@@ -248,17 +271,18 @@ def powi(base: Node, exponent: int) -> Node:
         return Const(base.n, _ONE)
     if exponent == 1:
         return base
-    if isinstance(base, Const):
-        if base.value == 0 and exponent < 0:
+    if type(base) is Const:
+        if not base.value._numerator and exponent < 0:
             raise ExprError("constant zero raised to a negative power")
         return Const(base.n, base.value ** exponent)
     return Pow(base.n, base, exponent)
 
 
 def neg(a: Node) -> Node:
-    if isinstance(a, Const):
+    t = type(a)
+    if t is Const:
         return Const(a.n, -a.value)
-    if isinstance(a, Neg):
+    if t is Neg:
         return a.a
     return Neg(a.n, a)
 
@@ -417,25 +441,19 @@ def parse(text: str, n: int) -> Node:
 # same print is the Python source of the compiled functions.
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL, Neg: _PREC_NEG,
+         Pow: _PREC_POW, Var: _PREC_ATOM, Call: _PREC_ATOM}
 
 
 def _prec(e: Node) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Const):
+    if type(e) is Const:
         # "1/2" and "-1/2" re-parse through the / production, "-2" through
         # unary minus; parenthesize them accordingly
-        if e.value.denominator != 1:
+        v = e.value
+        if v._denominator != 1:
             return _PREC_MUL
-        if e.value < 0:
-            return _PREC_NEG
-    return _PREC_ATOM
+        return _PREC_NEG if v._numerator < 0 else _PREC_ATOM
+    return _PREC[type(e)]
 
 
 def _wrap(e: Node, minimum: int, names: Optional[Sequence[str]]) -> str:
@@ -448,26 +466,27 @@ def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
     which differs only in writing the coordinate of index i (x1..xn, then
     y1..yn, from 0) as ``names[i]`` and ``^`` as ``**`` (Python's ``**``
     and unary ``-`` bind as ``^`` and ``-`` do here)."""
-    if isinstance(e, Const):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(e, Var):
+    t = type(e)  # kinds by their count in derivatives
+    if t is Mul:
+        return f"{_wrap(e.a, _PREC_MUL, names)}*{_wrap(e.b, _PREC_MUL + 1, names)}"
+    if t is Var:
         if names is not None:
             return names[(0 if e.kind == "x" else e.n) + e.index - 1]
         return f"{e.kind}{e.index}"
-    if isinstance(e, Add):
+    if t is Const:
+        v = e.value
+        return str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
+    if t is Add:
         return f"{_wrap(e.a, _PREC_ADD, names)} + {_wrap(e.b, _PREC_ADD + 1, names)}"
-    if isinstance(e, Sub):
+    if t is Sub:
         return f"{_wrap(e.a, _PREC_ADD, names)} - {_wrap(e.b, _PREC_ADD + 1, names)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL, names)}*{_wrap(e.b, _PREC_MUL + 1, names)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL, names)}/{_wrap(e.b, _PREC_MUL + 1, names)}"
-    if isinstance(e, Neg):
+    if t is Neg:
         return f"-{_wrap(e.a, _PREC_NEG, names)}"
-    if isinstance(e, Pow):
+    if t is Pow:
         return f"{_wrap(e.base, _PREC_ATOM, names)}{'^' if names is None else '**'}{e.exponent}"
-    if isinstance(e, Call):
+    if t is Div:
+        return f"{_wrap(e.a, _PREC_MUL, names)}/{_wrap(e.b, _PREC_MUL + 1, names)}"
+    if t is Call:
         return f"{e.func}({to_text(e.arg, names)})"
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -481,43 +500,52 @@ def differentiate(e: Node, v) -> Node:
 
     ``v`` is a ``Var`` or a ``(kind, index)`` pair such as ``("y", 1)``.
     Each distinct node of ``e`` is differentiated once, so a subtree shared
-    by several parents has one shared derivative.
+    by several parents has one shared derivative.  The derivative's leaves
+    0 and 1 are one shared node each per dimension; every other node is
+    built afresh, and nothing else is kept between calls.
     """
     kind, index = (v.kind, v.index) if isinstance(v, Var) else v
     index = int(index)
     if kind not in ("x", "y") or not 1 <= index <= e.n:
         raise ExprError(f"variable {kind}{index} not declared for n={e.n}")
-    return _diff(e, kind, index, {})
+    zero, one = _units(e.n)
+    return _diff(e, kind, index, {}, zero, one)
 
 
-def _diff(e: Node, kind: str, index: int, memo: dict) -> Node:
-    # memo: id(node) -> derivative, for the nodes of the expression being
-    # differentiated; they stay alive for the call, so no id is reused
+def _diff(e: Node, kind: str, index: int, memo: dict, zero: Const, one: Const) -> Node:
+    # memo: id(node) -> derivative, for the inner nodes of the expression
+    # being differentiated; they stay alive for the call, so no id is reused
+    t = type(e)  # leaves first, without the memo; then kinds by their count in brackets
+    if t is Var:
+        return one if e.index == index and e.kind == kind else zero
+    if t is Const:
+        return zero
     out = memo.get(id(e))
     if out is not None:
         return out
-    n = e.n
-    if isinstance(e, Const):
-        out = Const(n, _ZERO)
-    elif isinstance(e, Var):
-        out = Const(n, _ONE if e.kind == kind and e.index == index else _ZERO)
-    elif isinstance(e, Add):
-        out = add(_diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo))
-    elif isinstance(e, Sub):
-        out = sub(_diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo))
-    elif isinstance(e, Mul):
-        da, db = _diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo)
-        out = add(mul(da, e.b), mul(e.a, db))
-    elif isinstance(e, Div):
-        da, db = _diff(e.a, kind, index, memo), _diff(e.b, kind, index, memo)
-        out = div(sub(mul(da, e.b), mul(e.a, db)), powi(e.b, 2))
-    elif isinstance(e, Pow):
-        dbase = _diff(e.base, kind, index, memo)
-        out = mul(mul(const(e.exponent, n), powi(e.base, e.exponent - 1)), dbase)
-    elif isinstance(e, Neg):
-        out = neg(_diff(e.a, kind, index, memo))
-    elif isinstance(e, Call):
-        darg = _diff(e.arg, kind, index, memo)
+    if t is Mul:
+        # da*b + a*db, less a term that the constructors would fold to 0
+        a, b = e.a, e.b
+        da, db = _diff(a, kind, index, memo, zero, one), _diff(b, kind, index, memo, zero, one)
+        out = (mul(da, b) if db is zero else mul(a, db) if da is zero
+               else add(mul(da, b), mul(a, db)))
+    elif t is Add:
+        out = add(_diff(e.a, kind, index, memo, zero, one),
+                  _diff(e.b, kind, index, memo, zero, one))
+    elif t is Sub:
+        out = sub(_diff(e.a, kind, index, memo, zero, one),
+                  _diff(e.b, kind, index, memo, zero, one))
+    elif t is Neg:
+        out = neg(_diff(e.a, kind, index, memo, zero, one))
+    elif t is Pow:
+        dbase = _diff(e.base, kind, index, memo, zero, one)
+        out = mul(mul(const(e.exponent, e.n), powi(e.base, e.exponent - 1)), dbase)
+    elif t is Div:
+        a, b = e.a, e.b
+        da, db = _diff(a, kind, index, memo, zero, one), _diff(b, kind, index, memo, zero, one)
+        out = div(sub(mul(da, b), mul(a, db)), powi(b, 2))
+    elif t is Call:
+        darg = _diff(e.arg, kind, index, memo, zero, one)
         if e.func == "sin":
             outer: Node = call("cos", e.arg)
         elif e.func == "cos":
@@ -536,16 +564,10 @@ def used_variables(e: Node) -> set[tuple[str, int]]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
+        if type(node) is Var:
             out.add((node.kind, node.index))
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.extend((node.a, node.b))
-        elif isinstance(node, Neg):
-            stack.append(node.a)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        else:
+            stack.extend(v for v in vars(node).values() if isinstance(v, Node))
     return out
 
 
@@ -571,33 +593,37 @@ def evaluate(e: Node, point) -> float:
 
 
 def _eval(e: Node, z: Sequence[float], memo: dict) -> float:
-    # memo: id(node) -> value, as in _diff
+    # memo: id(node) -> value, as in _diff; operands are evaluated left to
+    # right, as the compiled source evaluates them
+    t = type(e)  # as in _diff
+    if t is Const:
+        v = e.value
+        return v._numerator / v._denominator  # float(v), correctly rounded
+    if t is Var:
+        return float(z[(0 if e.kind == "x" else e.n) + e.index - 1])
     out = memo.get(id(e))
     if out is not None:
         return out
-    if isinstance(e, Const):
-        out = float(e.value)
-    elif isinstance(e, Var):
-        out = float(z[(0 if e.kind == "x" else e.n) + e.index - 1])
-    elif isinstance(e, Add):
-        out = _eval(e.a, z, memo) + _eval(e.b, z, memo)
-    elif isinstance(e, Sub):
-        out = _eval(e.a, z, memo) - _eval(e.b, z, memo)
-    elif isinstance(e, Mul):
+    if t is Mul:
         out = _eval(e.a, z, memo) * _eval(e.b, z, memo)
-    elif isinstance(e, Div):
-        denom = _eval(e.b, z, memo)
-        if denom == 0.0:
-            raise EvalError(f"division by zero in '{to_text(e)}'")
-        out = _eval(e.a, z, memo) / denom
-    elif isinstance(e, Pow):
+    elif t is Add:
+        out = _eval(e.a, z, memo) + _eval(e.b, z, memo)
+    elif t is Sub:
+        out = _eval(e.a, z, memo) - _eval(e.b, z, memo)
+    elif t is Neg:
+        out = -_eval(e.a, z, memo)
+    elif t is Pow:
         base = _eval(e.base, z, memo)
         if base == 0.0 and e.exponent < 0:
             raise EvalError(f"zero raised to negative power in '{to_text(e)}'")
         out = base ** e.exponent
-    elif isinstance(e, Neg):
-        out = -_eval(e.a, z, memo)
-    elif isinstance(e, Call):
+    elif t is Div:
+        num = _eval(e.a, z, memo)
+        denom = _eval(e.b, z, memo)
+        if denom == 0.0:
+            raise EvalError(f"division by zero in '{to_text(e)}'")
+        out = num / denom
+    elif t is Call:
         out = getattr(math, e.func)(_eval(e.arg, z, memo))
     else:
         raise TypeError(f"not an expression node: {e!r}")
@@ -607,17 +633,6 @@ def _eval(e: Node, z: Sequence[float], memo: dict) -> float:
 
 # ---------------------------------------------------------------------------
 # Compilation to plain Python functions for tight numeric loops.
-
-
-def define(source: str, name: str, module: str, **env) -> Callable:
-    """The function ``name`` that the generated ``source`` defines, run with
-    ``__name__ = module`` (its ``__module__``) and sin, cos, exp, inf and
-    ``env`` in scope.  It is popped from the namespace it was run in, so no
-    reference cycle keeps it, or what it reaches, alive."""
-    namespace = {"__name__": module, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "inf": math.inf, **env}
-    exec(source, namespace)
-    return namespace.pop(name)
 
 
 @functools.lru_cache(maxsize=None)

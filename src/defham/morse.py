@@ -488,6 +488,7 @@ def find_critical_points(
     options = options or MorseOptions()
     system = _System(spec, options)
     found: list[np.ndarray] = []
+    kept: list[list[float]] = []  # found as Python floats, distance's fast input
     # a seed where the float64 gradient overflows is skipped by _newton; it
     # gives no RuntimeWarning on stderr
     with np.errstate(all="ignore"):
@@ -498,9 +499,11 @@ def find_critical_points(
             u = system.wrap_coords(u)
             if not system.in_search_box(u):
                 continue
-            if any(system.distance(u, v) <= options.dedupe_distance for v in found):
+            point = u.tolist()
+            if any(system.distance(point, v) <= options.dedupe_distance for v in kept):
                 continue
             found.append(u)
+            kept.append(point)
     found.sort(key=lambda u: tuple(np.round(u, 9)))
     return [
         CriticalPoint(
@@ -698,6 +701,7 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
     """
     rel = _SEPARATRIX_REL_TOL
     delta = system.options.capture_radius
+    targets = [t.tolist() for t in stop_points]  # Python floats, distance's fast input
     shot_a = _angle_shot(system, u_minus, frame, theta_a, stop_points, rel, True)
     shot_b = _angle_shot(system, u_minus, frame, theta_b, stop_points, rel, True)
     prefix_states: list = []
@@ -721,13 +725,9 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
         fate_a, fate_b = _fate(system, shot_a), _fate(system, shot_b)
         if fate_a == fate_b:
             return None  # bracket lost; nothing left to straddle
-        d_a = np.array(
-            [[system.distance(z, t) for t in stop_points] for z in shot_a.states]
-        )
+        d_a = np.array([[system.distance(z, t) for t in targets] for z in shot_a.states])
         i_a, k = np.unravel_index(int(np.argmin(d_a)), d_a.shape)
-        i_b = int(
-            np.argmin([system.distance(z, stop_points[k]) for z in shot_b.states])
-        )
+        i_b = int(np.argmin([system.distance(z, targets[k]) for z in shot_b.states]))
         if keep_states:
             # the true orbit lies between the bracketing pair, so states
             # are certified only while the pair still agrees; the meterable
@@ -750,7 +750,8 @@ def _pair_refine(system, u_minus, frame, theta_a, theta_b, stop_points, keep_sta
             if mid == lo_s or mid == hi_s:
                 break
             start = z_a + mid * segment
-            if min(system.distance(start, t) for t in stop_points) <= delta:
+            point = start.tolist()
+            if min(system.distance(point, t) for t in targets) <= delta:
                 # the segment sags into the ball; an instant capture proves
                 # nothing, so shrink toward the better-tracked side instead
                 hi_s = mid

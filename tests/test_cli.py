@@ -336,11 +336,15 @@ class TestRun:
             ("regime_trichotomy", {"q_list": [0.5], "t_final": 1000.0,
                                    "observables": ["symplectic_defect"]},
              r"/integrator/step: 1,000,001 samples of 6 floats"),
+            # a Jacobi check over no triples would pass vacuously
+            ("bracket_random", {"jacobi_triples": 0},
+             "/jacobi_triples: 0 is less than the minimum of 1"),
         ],
         ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
              "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum",
              "simulate_rk4_steps", "verify_flow_default_rk4_steps", "sweep_rk4_steps",
-             "simulate_rk4_samples", "verify_flow_rk4_samples", "sweep_rk4_samples"],
+             "simulate_rk4_samples", "verify_flow_rk4_samples", "sweep_rk4_samples",
+             "bracket_no_jacobi_triples"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)

@@ -7,11 +7,13 @@ identities were tested ahead of constant folding.
 """
 
 import ast
+import copy
 import dataclasses
 import gc
 import inspect
 import math
 import pickle
+import struct
 import sys
 import threading
 import weakref
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from defham import expr as ex
@@ -182,7 +184,7 @@ class TestSharedSubtrees:
         for _ in range(self.DEPTH):
             value, slope = value * value, slope * value + value * slope
         assert ex.evaluate(d, z) == slope
-        # nothing is kept between calls
+        # nothing but the shared 0 and 1 leaves is kept between calls
         assert ex.differentiate(e, ("x", 1)) is not d
 
     @pytest.mark.parametrize(
@@ -598,6 +600,79 @@ class TestConstructorsAndHashes:
         assert "_hash" not in e.__reduce_ex__(2)[2]
         copy = pickle.loads(pickle.dumps(e))
         assert copy == e and hash(copy) == hash(e)
+
+
+_X1, _Y1 = ex.Var(N_RANDOM, "x", 1), ex.Var(N_RANDOM, "y", 1)
+NODE_FIELDS = {
+    ex.Const: (N_RANDOM, Fraction(-3, 4)),
+    ex.Var: (N_RANDOM, "y", 2),
+    ex.Add: (N_RANDOM, _X1, _Y1),
+    ex.Sub: (N_RANDOM, _X1, _Y1),
+    ex.Mul: (N_RANDOM, _X1, _Y1),
+    ex.Div: (N_RANDOM, _X1, _Y1),
+    ex.Pow: (N_RANDOM, _X1, -3),
+    ex.Neg: (N_RANDOM, _Y1),
+    ex.Call: (N_RANDOM, "sin", _X1),
+}
+
+
+class TestNodes:
+    # nodes are built by a generated __init__, not the dataclass's; they must
+    # keep the frozen dataclass's semantics
+    @pytest.mark.parametrize("cls", list(NODE_FIELDS), ids=lambda cls: cls.__name__)
+    def test_frozen_and_built_like_the_dataclass(self, cls):
+        values = NODE_FIELDS[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert len(names) == len(values)
+        node = cls(*values)
+        assert tuple(getattr(node, name) for name in names) == values
+        assert cls(**dict(zip(names, values))) == node
+        for name in names + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, 0)
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        for other in (dataclasses.replace(node), copy.deepcopy(node),
+                      pickle.loads(pickle.dumps(node))):
+            assert type(other) is cls and other == node and other is not node
+            assert hash(other) == hash(node) == hash(values)
+
+
+def _exp(a):
+    return ex.Call(N_RANDOM, "exp", a)
+
+
+_OVERFLOW = _exp(_exp(_exp(_X1)))  # exp(exp(e^2)) = exp(1618.2) at x1 = 2
+_E700 = _exp(ex.Const(N_RANDOM, Fraction(700)))
+_INF = ex.Mul(N_RANDOM, _E700, _E700)  # exp(700)^2 overflows to inf
+
+
+class TestEvaluate:
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(RANDOM_TREES, RANDOM_POINTS)
+    @example(_OVERFLOW, [2.0, 0.0, 0.0, 0.0])
+    @example(ex.Div(N_RANDOM, _OVERFLOW, _Y1), [2.0, 0.0, 0.0, 0.0])  # overflow before the pole
+    @example(ex.Div(N_RANDOM, _Y1, _OVERFLOW), [2.0, 0.0, 0.0, 0.0])
+    @example(ex.Call(N_RANDOM, "sin", _INF), [0.0, 0.0, 0.0, 0.0])  # sin(inf): a domain error
+    @example(ex.Sub(N_RANDOM, _INF, _INF), [0.0, 0.0, 0.0, 0.0])  # inf - inf: a nan
+    def test_evaluate_equals_a_plain_walk(self, e, z):
+        # the walk evaluates operands left to right and a shared subtree once
+        # per path; evaluate gives its bits, and raises where it raises
+        try:
+            want = tree_evaluate(e, z)
+        except ZeroDivisionError:
+            with pytest.raises(ex.EvalError):
+                ex.evaluate(e, z)
+            return
+        except Exception as err:  # an overflow or a math domain error
+            with pytest.raises(Exception) as raised:
+                ex.evaluate(e, z)
+            assert raised.type is type(err)
+            return
+        assert struct.pack("<d", ex.evaluate(e, z)) == struct.pack("<d", want)
 
 
 def _codegen(e):
