@@ -1,9 +1,12 @@
 """Scenario validation, execution, exit codes and artifact determinism."""
 
+import copy
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,9 @@ from defham.cli import (
     EXIT_INVALID,
     EXIT_PASS,
     ScenarioError,
+    _KIND_SCHEMAS,
     _flow_spec,
+    _schema_errors,
     _z0,
     main,
     run_scenario,
@@ -172,6 +177,148 @@ class TestValidation:
         assert not (tmp_path / "report.json").exists()
         err = capsys.readouterr().err
         assert err.count("is not a finite float") == 2 and "Traceback" not in err
+
+
+GOLDEN_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+SCHEMA_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems", "items",
+                   "anyOf", "properties", "required", "additionalProperties"}
+# keys a mutation adds (known properties of some schema, and ones no schema
+# has) and the values it writes
+_KEYS = ["n", "q", "kind", "type", "step", "name", "measure", "threshold", "simple",
+         "conformal_ratio", "box", "checks", "tol", "mesh", "grid", "bogus", "0"]
+_VALUES = [True, False, None, math.nan, -0.0, 0, 1, -1, 3, 2**70, 0.0, 1.0, 2.0, -1.0, 0.5, -2.5,
+           1e-9, "", "x1*y1", "rk4", "plane", "symplectic", "le", "energy_drift", "final_H",
+           "regime_trichotomy", [], {}, [0.5], [1, 2.0], [1, 2, 3], [[0, 1], [True]],
+           [[-2.0, 2.0]] * 2, [[0.5], [1, 2, 3]],
+           [None, [3, [math.nan]]], {"type": "rk4", "step": 0}, {"simple": 1, "mesh": []},
+           [{"name": "c", "measure": "final_defect", "threshold": 1e-3, "comparator": "ge"}],
+           {"0": {"1": [2**70, -0.0]}}]
+
+
+def _locations(value):
+    """(container, key) of every dict entry and list item in ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _locations(child)
+
+
+def mutated_golden(choices: bytes):
+    """(kind, document): a golden scenario with one to three keys deleted,
+    added or replaced, at any depth, from a pool of odd values.  Each byte of
+    ``choices`` makes one choice, so all zeros is the first golden scenario
+    without its first key."""
+    choice = iter(choices)
+
+    def pick(seq):
+        return seq[next(choice) % len(seq)]
+
+    name = pick(sorted(GOLDEN_DOCS))
+    doc = json.loads(json.dumps(GOLDEN_DOCS[name]))
+    for _ in range(1 + next(choice) % 3):
+        op = pick(["delete", "add", "replace"])
+        places = [(c, k) for c, k in _locations(doc) if op != "delete" or isinstance(c, dict)]
+        if op == "add":
+            places = [(doc, None)] + [(c[k], None) for c, k in places
+                                      if isinstance(c[k], (dict, list))]
+        if not places:
+            continue
+        container, key = pick(places)
+        value = copy.deepcopy(pick(_VALUES))
+        if op == "delete":
+            del container[key]
+        elif op == "replace":
+            container[key] = value
+        elif isinstance(container, dict):
+            container[pick(_KEYS)] = value
+        else:
+            container.append(value)
+    return GOLDEN_DOCS[name]["kind"], doc
+
+
+def _walk_schemas(schema):
+    """Every schema nested in ``schema``, ``schema`` included."""
+    yield schema
+    for key, arg in schema.items():
+        if key in ("items", "additionalProperties") and isinstance(arg, dict):
+            yield from _walk_schemas(arg)
+        elif key == "anyOf":
+            for sub in arg:
+                yield from _walk_schemas(sub)
+        elif key == "properties":
+            for sub in arg.values():
+                yield from _walk_schemas(sub)
+
+
+class TestSchemaValidator:
+    def test_schemas_use_only_supported_keywords(self):
+        for kind, schema in _KIND_SCHEMAS.items():
+            for sub in _walk_schemas(schema):
+                assert set(sub) <= SCHEMA_KEYWORDS, (kind, sub)
+                assert sub.get("type", "string") in cli._TYPES, (kind, sub)
+                # enum membership is list membership: strings equal no other type
+                assert all(isinstance(e, str) for e in sub.get("enum", [])), (kind, sub)
+        with pytest.raises(ValueError, match="unsupported schema keyword 'maximum'"):
+            list(_schema_errors({"type": "number", "maximum": 1}, 2))
+
+    @pytest.fixture(scope="class")
+    def jsonschema_errors(self):
+        """(path, message) of each error jsonschema's Draft 2020-12 validator
+        finds in a document of a kind, sorted by path as validate_scenario
+        sorts them; with one change: an "integer" is an int, never a float
+        such as 1.0 (the run takes it as a count)."""
+        jsonschema = pytest.importorskip("jsonschema")
+        checker = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+        reference = jsonschema.validators.extend(
+            jsonschema.Draft202012Validator, type_checker=checker)
+        validators = {kind: reference(schema) for kind, schema in _KIND_SCHEMAS.items()}
+        return lambda kind, doc: sorted(
+            ((tuple(e.absolute_path), e.message) for e in validators[kind].iter_errors(doc)),
+            key=lambda e: e[0])
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(choices=st.binary(min_size=14, max_size=14))
+    def test_errors_equal_jsonschema(self, jsonschema_errors, choices):
+        kind, doc = mutated_golden(choices)
+        assert sorted(_schema_errors(_KIND_SCHEMAS[kind], doc), key=lambda e: e[0]) == \
+            jsonschema_errors(kind, doc)
+
+    @pytest.mark.parametrize(
+        "base,change",
+        [
+            ("morse_s1", {"box": [[0.5], [1, 2, 3], [-2, 2], "x"], "mesh": 48}),
+            ("morse_t2", {"expect_ranks": {"0": -1, "1": 1.5, "2": True, "3": [0]}}),
+            ("classify_conformal", {"expect": {"conformal_ratio": [1], "simple": 0}}),
+            ("classify_conformal", {"expect": {"conformal_ratio": [1, 2.0, 3], "mesh": 1}}),
+            ("fibre_volume_sweep", {"observables": [], "checks": [{"type": "x", "tol": "1"}]}),
+            ("pendulum_symplectic", {"checks": [], "integrator": {"type": "rk2"}}),
+            ("oscillator_energy", {"t_final": 0, "z0": [math.nan, None],
+                                   "integrator": {"type": "rk4", "step": -0.0, "bogus": 1,
+                                                  "grid": 2}}),
+            ("bracket_random", {"n": 0, "pairs": 2**70, "thresholds": {"jacobi": None, "a": 1}}),
+        ],
+        ids=["box_lengths", "expect_ranks", "anyof_short", "anyof_long", "sweep_empty",
+             "verify_flow_empty", "exclusive_minimum", "minimum_and_null"],
+    )
+    def test_each_keyword_message_equals_jsonschema(self, jsonschema_errors, base, change):
+        kind = GOLDEN_DOCS[base]["kind"]
+        doc = dict(GOLDEN_DOCS[base], **change)
+        errors = sorted(_schema_errors(_KIND_SCHEMAS[kind], doc), key=lambda e: e[0])
+        assert len(errors) >= 2 and errors == jsonschema_errors(kind, doc)
+
+    def test_cli_imports_no_jsonschema(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, defham.cli; print(*sorted(sys.modules))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "defham.cli" in loaded
+        assert not {m.split(".")[0] for m in loaded} & {"jsonschema", "referencing", "attrs"}
 
 
 class TestRun:
@@ -339,12 +486,21 @@ class TestRun:
             # a Jacobi check over no triples would pass vacuously
             ("bracket_random", {"jacobi_triples": 0},
              "/jacobi_triples: 0 is less than the minimum of 1"),
+            # an unhashable kind failed the dict lookup with a TypeError, and
+            # run took 1.0 as a count and crashed: tracebacks with exit 1
+            ("oscillator_energy", {"kind": []}, r"/kind: must be one of \[.*\], got \[\]$"),
+            ("morse_t2", {"kind": {}}, r"/kind: must be one of \[.*\], got \{\}$"),
+            ("oscillator_energy", {"n": 1.0}, "/n: 1.0 is not of type 'integer'"),
+            ("bracket_random", {"n": 2.0, "pairs": 1.0},
+             "/n: 2.0 is not of type 'integer'; /pairs: 1.0 is not of type 'integer'"),
+            ("morse_t2", {"n": 2.0}, "/n: 2.0 is not of type 'integer'"),
         ],
         ids=["classify_sin", "classify_quotient", "simulate_measure", "verify_flow_measure",
              "simulate_zero_power", "simulate_nested_parentheses", "classify_deep_sum",
              "simulate_rk4_steps", "verify_flow_default_rk4_steps", "sweep_rk4_steps",
              "simulate_rk4_samples", "verify_flow_rk4_samples", "sweep_rk4_samples",
-             "bracket_no_jacobi_triples"],
+             "bracket_no_jacobi_triples", "kind_list", "kind_dict", "simulate_float_n",
+             "bracket_float_n_pairs", "morse_float_n"],
     )
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
