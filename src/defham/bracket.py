@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import expr as ex
-from .dynamics import HamiltonianField
+from .dynamics import _NON_FINITE, HamiltonianField
 from .phase import PhasePoint
 
 __all__ = [
@@ -24,11 +26,21 @@ __all__ = [
 ]
 
 
+def _field(field: HamiltonianField, z: tuple) -> np.ndarray:
+    """field.field(z) from the gradient on Python floats, which round as
+    float64; where they raise instead of giving inf or nan, on float64."""
+    try:
+        g = field.jet.gradient(z)
+    except _NON_FINITE:
+        return field.field(np.array(z))
+    return np.array(field.field_from_gradient(g))
+
+
 def deformed_bracket(h: ex.Node, f: ex.Node, q: float, z: PhasePoint) -> float:
     """{H,F}_q(z) = omega(X^q_H(z), X_F(z))."""
-    za = z.as_array()
-    xh = HamiltonianField(h, q).field(za)
-    xf = HamiltonianField(f, 1.0).field(za)
+    zf = z.x + z.y
+    xh = _field(HamiltonianField(h, q), zf)
+    xf = _field(HamiltonianField(f, 1.0), zf)
     n = h.n
     # omega(u, v) = sum_i (b_u a_v - a_u b_v)
     return float(xh[n:] @ xf[:n] - xh[:n] @ xf[n:])

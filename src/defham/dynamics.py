@@ -10,8 +10,9 @@ an adaptive Fehlberg RKF45; the Jacobian of the flow map is co-integrated
 from the exact symbolic Hessian of H.
 
 Both integrators are straight-line loops on lists of Python floats, each
-from one generator (_rk4_loop, _rkf45_loop) whose only fork is how a stage
-is written, and each cached by what it is generated from (_loop).  An rhs
+from one generator (_rk4_loop, _rkf45_loop) whose only forks are how a
+stage is written and, in RK4, where the state list is made, and each cached
+by what it is generated from (_loop).  An rhs
 that carries its ``terms`` (the compiled field, the Morse rhs) runs in a
 loop whose stages compute those terms inline; any other rhs is called once
 per stage.  An observe that carries its ``watch`` runs that source inline
@@ -135,8 +136,8 @@ class HamiltonianField:
     def field_from_gradient(self, g: Sequence[float]) -> list:
         """The field as a list of floats, given the gradient of H at the point."""
         n = self.n
-        # -1.0 * v, not -v: an integer entry (a constant derivative, compiled
-        # as e.g. `(0)`) then gives -0.0, as it did on float64 arrays
+        # -1.0 * v, not -v: the compiled field's `-1.0 * (e)`, which keeps
+        # the sign of a nan where -v flips it
         return [self._qinv * v for v in g[n:]] + [-1.0 * v for v in g[:n]]
 
     @functools.cached_property
@@ -152,8 +153,8 @@ class HamiltonianField:
         g = [f"g{i}" for i in range(m)]
         h = [f"h{k}" for k in range(m * (m + 1) // 2)]
         index = ex.hessian_index(m)
-        # -(1.0 * h), not -h: an integer entry (a constant derivative,
-        # compiled as e.g. `0`) then gives -0.0, as -h[:n] does on float64
+        # -(1.0 * h), not -h: a constant entry with no finite float (printed
+        # exactly, an int) then raises OverflowError, as field_jacobian does
         rows = [[f"{self._qinv!r} * {h[k]}" for k in index[n + i]] for i in range(n)]
         rows += [[f"-(1.0 * {h[k]})" for k in index[i]] for i in range(n)]
         source = "\n".join([
@@ -236,9 +237,12 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
     Straight-line code for states of length d on unpacked components z_i:
     stage arguments ``z_i + half*k_i`` and ``z_i + h*k_i``, and the update
     ``z_i + sixth*(((a_i + 2.0*b_i) + 2.0*c_i) + e_i)``, the rounding of the
-    array form on float64.  Each step makes a new state list z, which the
-    first stage of the next step gets.  Given the rhs's terms the stages are
-    fused (_stage) and the loop never calls its rhs.
+    array form on float64.  A step is finite when every ``z_i - z_i ==
+    0.0``, which holds exactly for finite floats.  The generic loop makes a
+    new state list z at each step, which its first stage ``rhs(z)`` gets.
+    Given the rhs's terms the stages are fused (_stage), the loop never
+    calls its rhs and makes z only where a sample is due; the last step is
+    one, so z is the final state.
 
     Given a watch source (see _loop), the last argument is the watch's
     args, named ``watch``, and body runs with t = k*h where observe would be
@@ -246,6 +250,7 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
     sixth, k, t, a_i, b_i, c_i, e_i, s_i, z_i).
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
+    fused = terms is not None
 
     def stage(k, scale, prev):
         args = [f"z_{i} + {scale} * {prev}_{i}" for i in range(d)] if prev else None
@@ -271,15 +276,16 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
         '            raise IntegrationError("solution blew up", k * h) from err',
         *(f"        z_{i} = z_{i} + sixth * (((a_{i} + 2.0 * b_{i}) + 2.0 * c_{i}) + e_{i})"
           for i in range(d)),
-        f"        if not ({' and '.join(f'isfinite(z_{i})' for i in range(d))}):",
+        f"        if not ({' and '.join(f'z_{i} - z_{i} == 0.0' for i in range(d))}):",
         '            raise IntegrationError("solution blew up", k * h)',
-        f"        z = [{zs}]",
+        *([] if fused else [f"        z = [{zs}]"]),
         "        if k % stride == 0 or k == nsteps:",
+        *([f"            z = [{zs}]"] if fused else []),
         *after,
         "    return z",
     ]
-    return ex.define("\n".join(lines) + "\n", "loop", __name__, isfinite=math.isfinite,
-                     non_finite=_NON_FINITE, IntegrationError=IntegrationError)
+    return ex.define("\n".join(lines) + "\n", "loop", __name__, non_finite=_NON_FINITE,
+                     IntegrationError=IntegrationError)
 
 
 def _loop(generator: Callable, rhs: Callable, d: int, observe: Callable) -> tuple:

@@ -463,9 +463,18 @@ def _wrap(e: Node, minimum: int, names: Optional[Sequence[str]]) -> str:
 
 def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
     """The text of ``e``; given ``names``, the Python source of its value,
-    which differs only in writing the coordinate of index i (x1..xn, then
-    y1..yn, from 0) as ``names[i]`` and ``^`` as ``**`` (Python's ``**``
-    and unary ``-`` bind as ``^`` and ``-`` do here)."""
+    which differs in writing the coordinate of index i (x1..xn, then
+    y1..yn, from 0) as ``names[i]``, ``^`` as ``**`` (Python's ``**`` and
+    unary ``-`` bind as ``^`` and ``-`` do here) and a constant c as the
+    float literal ``repr(float(c))`` where float(c) is finite.
+
+    The literal is the double Python made of the exact text: the
+    constructors fold every constant-constant node, so a printed constant
+    meets a float operand, is the argument of sin, cos or exp, or is a
+    whole entry, and Python converts an int operand and divides two ints
+    with correct rounding.  The generated code then does float arithmetic
+    only.  A constant with no finite float keeps its exact text, and Python
+    raises OverflowError where it converts that to a float."""
     t = type(e)  # kinds by their count in derivatives
     if t is Mul:
         return f"{_wrap(e.a, _PREC_MUL, names)}*{_wrap(e.b, _PREC_MUL + 1, names)}"
@@ -475,6 +484,11 @@ def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
         return f"{e.kind}{e.index}"
     if t is Const:
         v = e.value
+        if names is not None:
+            try:
+                return repr(v._numerator / v._denominator)  # float(v), correctly rounded
+            except OverflowError:  # no finite float
+                pass
         return str(v._numerator) if v._denominator == 1 else f"{v._numerator}/{v._denominator}"
     if t is Add:
         return f"{_wrap(e.a, _PREC_ADD, names)} + {_wrap(e.b, _PREC_ADD + 1, names)}"
@@ -655,7 +669,7 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
 
 def scaled_entries(terms: Iterable[tuple[float, Node]], pattern: str) -> list[str]:
     """The source ``c * (e)`` of each entry of ``terms``, rounding as c times
-    the compiled e (``-1.0 * (0)`` is -0.0), its coordinates named by
+    the compiled e (``-1.0 * (0.0)`` is -0.0), its coordinates named by
     ``pattern`` (see coordinate_names)."""
     return [f"{c!r} * ({to_text(e, coordinate_names(pattern, e.n))})" for c, e in terms]
 
@@ -714,7 +728,8 @@ class _CompiledJet:
     @functools.cached_property
     def hessian_matrix(self) -> Callable[[Sequence[float]], np.ndarray]:
         """z -> the Hessian matrix: one np.array of the compiled tuple,
-        mirrored by hessian_index, so an integer entry converts as float()."""
+        mirrored by hessian_index; a constant entry with no finite float
+        (printed exactly, an int) raises OverflowError, as float() does."""
         m = len(self.variables)
         names = [f"h{k}" for k in range(m * (m + 1) // 2)]
         rows = matrix_source([names[k] for k in row] for row in hessian_index(m))

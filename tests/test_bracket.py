@@ -6,10 +6,13 @@ on coordinate functions, and the Jacobi sum built with every bracket
 differentiating its own operands, evaluated by a plain tree walk.
 """
 
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from defham import expr as ex
 from defham.bracket import (
@@ -20,9 +23,11 @@ from defham.bracket import (
     deformed_bracket,
     jacobi_defect,
 )
+from defham.dynamics import HamiltonianField
 from defham.phase import PhasePoint
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
+from test_expr import N_RANDOM, RANDOM_POINTS, RANDOM_TREES
 
 
 def poisson_oracle(h, f, z):
@@ -58,7 +63,37 @@ def unshared_jacobi_cyclic(h, f, g, q):
     return ex.add(ex.add(brk(brk(h, f), g), brk(brk(f, g), h)), brk(brk(g, h), f))
 
 
+def float64_bracket(h, f, q, z):
+    """{H,F}_q(z) with both fields from the compiled gradients on float64."""
+    za = z.as_array()
+    xh = HamiltonianField(h, q).field(za)
+    xf = HamiltonianField(f, 1.0).field(za)
+    n = h.n
+    return float(xh[n:] @ xf[:n] - xh[:n] @ xf[n:])
+
+
+def _bits_or_error(compute):
+    try:
+        return struct.pack("<d", compute())
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
 class TestBracketValues:
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(RANDOM_TREES, RANDOM_TREES, st.sampled_from([0.5, 1.0, -3.0]), RANDOM_POINTS)
+    # x1^400 overflows: Python floats raise, float64 gives inf
+    @example(ex.parse("y1*x1^400", 2), ex.parse("x1*y2 + y1", 2), 0.5, [10.0, 1.0, 1.0, 1.0])
+    def test_bits_equal_the_float64_form(self, h, f, q, z):
+        # the gradients run on Python floats and, where those raise, on float64
+        point = PhasePoint(z[:N_RANDOM], z[N_RANDOM:])
+        with np.errstate(all="ignore"):
+            got = _bits_or_error(lambda: deformed_bracket(h, f, q, point))
+            assert got == _bits_or_error(lambda: float64_bracket(h, f, q, point))
+
     def test_coordinate_pair(self):
         # [DERIVED] {x1, y1}_q = q^{-1}*0 - 1*1 = -1 for every q.
         x1 = ex.parse("x1", 1)

@@ -455,14 +455,15 @@ class TestRKF45Attempts:
 
 
 def _observed(path, rhs, z0, *args):
-    """The (t, state bytes) samples a path observes, and its IntegrationError
-    as (message, t, type of its cause), or None."""
+    """The (t, state bytes) samples a path observes, its IntegrationError as
+    (message, t, type of its cause) or None, and the bytes of the state it
+    returns (None after an error)."""
     seen = []
     try:
-        path(rhs, list(z0), *args, lambda t, z: seen.append((t, np.array(z).tobytes())))
+        z = path(rhs, list(z0), *args, lambda t, z: seen.append((t, np.array(z).tobytes())))
     except IntegrationError as err:
-        return seen, (str(err), err.t, type(err.__cause__))
-    return seen, None
+        return seen, (str(err), err.t, type(err.__cause__)), None
+    return seen, None, np.array(z).tobytes()
 
 
 def _fused_and_generic(path, rhs, z0, *args):
@@ -507,8 +508,52 @@ class TestFusedLoop:
         assert fused == generic
 
     @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_strided_paths_match_the_generic_loop(self, integrator):
+        # a stride of 7 does not divide RK4's 100 steps: the last step is
+        # sampled too, and its state is the one the path returns; the sample
+        # watch runs inline in the fused loop and is called by the generic one
+        h = ex.parse("y1^2/2 + (1 - cos(x1)) + x1^3/5", 1)
+        rhs = HamiltonianField(h, 1 / 3).compiled_field
+        path, args = (dynamics.rk4_path, (1.0, 1e-2, 7)) if integrator == "rk4" else (
+            rkf45_path, (2.0, 1e-10, 1e-12, 7))
+        fused, generic = _fused_and_generic(path, rhs, [0.9, -0.4], *args)
+        assert fused == generic and fused[1] is None
+        assert fused[2] == fused[0][-1][1]
+        if integrator == "rk4":
+            assert [t for t, _ in fused[0]] == [0.0, *(k * 1e-2 for k in range(7, 100, 7)), 1.0]
+        else:
+            assert len(fused[0]) > 10
+        samples = []
+        for f in (rhs, lambda z: rhs(z)):
+            ts, states, es, observe = dynamics._make_observer(h, ex.JetEvaluator(h).value)
+            assert observe.watch
+            z = path(f, [0.9, -0.4], *args, observe)
+            samples.append((ts, np.array(states).tobytes(), es, np.array(z).tobytes()))
+        assert samples[0] == samples[1]
+        assert len(samples[0][0]) == len(fused[0]) and samples[0][3] == fused[2]
+
+    @pytest.mark.parametrize(
+        "text, n, z0, args, t",
+        [
+            # x1' = x1^2 as a product, which overflows to inf without raising
+            ("y1*x1*x1", 1, [1.0, 0.0], (2.0, 1e-3, 1), 1.003),
+            # x1 = 1e76 e^t stays finite; x2' = x1^4 - x1^4 turns nan
+            # once x1^4 overflows
+            ("x1*y1 + y2*(x1*x1*x1*x1 - x1*x1*x1*x1)", 2, [1e76, 0.0, 0.0, 0.0], (4.0, 1e-2, 1),
+             2.45),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_state_ends_both_rk4_loops_at_the_same_step(self, text, n, z0, args, t):
+        rhs = HamiltonianField(ex.parse(text, n), 1.0).compiled_field
+        fused, generic = _fused_and_generic(dynamics.rk4_path, rhs, z0, *args)
+        assert fused == generic
+        assert fused[1] == (f"solution blew up at t={t:.6g}", pytest.approx(t), type(None))
+        assert np.isfinite(np.frombuffer(fused[0][-1][1])).all()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
     def test_integer_constant_derivative_keeps_its_sign(self, integrator):
-        # dH/dx1 = 0 compiles to -1.0 * (0), which is -0.0; RK4's update adds
+        # dH/dx1 = 0 compiles to -1.0 * (0.0), which is -0.0; RK4's update adds
         # it to y1 = -0.0, so y1 stays -0.0 (RKF45's stage sums start at 0.0)
         rhs = HamiltonianField(ex.parse("y1^2/2 + 3*y1", 1), 0.5).compiled_field
         z0 = [0.25, -0.0]

@@ -675,12 +675,19 @@ class TestEvaluate:
         assert struct.pack("<d", ex.evaluate(e, z)) == struct.pack("<d", want)
 
 
-def _codegen(e):
-    """The fully parenthesized Python source the compiled functions were once
-    generated from: the reference for the printer's Python source,
-    ``to_text(e, coordinate_names("z[{}]", e.n))``."""
+def _codegen(e, floats=True):
+    """The fully parenthesized Python source of ``e``: the reference for the
+    printer's Python source, ``to_text(e, coordinate_names("z[{}]", e.n))``.
+    A constant c is written as ``repr(float(c))`` where float(c) is finite
+    and exactly otherwise; with ``floats`` False every constant is written
+    exactly, as the compiled functions were once generated."""
     if isinstance(e, ex.Const):
         v = e.value
+        if floats:
+            try:
+                return f"({float(v)!r})"
+            except OverflowError:
+                pass
         if v.denominator == 1:
             return f"({v.numerator})"
         return f"({v.numerator}/{v.denominator})"
@@ -688,38 +695,92 @@ def _codegen(e):
         offset = 0 if e.kind == "x" else e.n
         return f"z[{offset + e.index - 1}]"
     if isinstance(e, ex.Add):
-        return f"({_codegen(e.a)}+{_codegen(e.b)})"
+        return f"({_codegen(e.a, floats)}+{_codegen(e.b, floats)})"
     if isinstance(e, ex.Sub):
-        return f"({_codegen(e.a)}-{_codegen(e.b)})"
+        return f"({_codegen(e.a, floats)}-{_codegen(e.b, floats)})"
     if isinstance(e, ex.Mul):
-        return f"({_codegen(e.a)}*{_codegen(e.b)})"
+        return f"({_codegen(e.a, floats)}*{_codegen(e.b, floats)})"
     if isinstance(e, ex.Div):
-        return f"({_codegen(e.a)}/{_codegen(e.b)})"
+        return f"({_codegen(e.a, floats)}/{_codegen(e.b, floats)})"
     if isinstance(e, ex.Pow):
-        return f"({_codegen(e.base)}**({e.exponent}))"
+        return f"({_codegen(e.base, floats)}**({e.exponent}))"
     if isinstance(e, ex.Neg):
-        return f"(-{_codegen(e.a)})"
+        return f"(-{_codegen(e.a, floats)})"
     if isinstance(e, ex.Call):
-        return f"{e.func}({_codegen(e.arg)})"
+        return f"{e.func}({_codegen(e.arg, floats)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# the float of 2**53 + 1 rounds; 1/10**400 underflows to 0.0; 10**400 has none
+_EDGE_CONSTANTS = [Fraction(-7, 3), Fraction(10**20), Fraction(2**53 + 1),
+                   Fraction(1, 10**400), Fraction(10**400)]
 SOURCE_TREES = _random_trees(
-    _CONSTANTS + [Fraction(-1, 2), Fraction(3), Fraction(-7, 3), Fraction(10**20)], (-3, 3)
+    _CONSTANTS + [Fraction(-1, 2), Fraction(3)] + _EDGE_CONSTANTS, (-3, 3)
 )
+
+
+def _bits(f, z):
+    """The doubles that f(z) returns, as bytes, or the type of the error
+    that f(z) or float() of its result raised."""
+    try:
+        out = f(z)
+        return [struct.pack("<d", float(v)) for v in (out if isinstance(out, (tuple, list)) else [out])]
+    except (ArithmeticError, ValueError) as err:  # a pole, an overflow, a domain error
+        return type(err)
+
+
+def _int_literal_functions(entries, scales):
+    """compile_scalar of entries[0], compile_vector of entries and
+    compile_scaled of zip(scales, entries), from the exact-constant source."""
+    old = [_codegen(e, floats=False) for e in entries]
+    scaled = ", ".join(f"{c!r} * {s}" for c, s in zip(scales, old))
+    return [ex.define(f"def _f(z):\n    return {body}\n", "_f", __name__)
+            for body in (old[0], f"({', '.join(old)},)", f"[{scaled}]")]
+
+
+_X2 = ex.Var(N_RANDOM, "x", 2)
 
 
 class TestPrinter:
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(SOURCE_TREES)
     def test_python_source_parses_as_the_fully_parenthesized_source(self, e):
-        # equal ASTs compile to equal code, so every compiled value keeps its bits;
-        # c * (e) is how compile_scaled scales an entry
+        # equal ASTs compile to equal code; c * (e) is how compile_scaled
+        # scales an entry
         source = ex.to_text(e, ex.coordinate_names("z[{}]", e.n))
         assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(_codegen(e)))
         assert ast.dump(ast.parse(f"-1.0 * ({source})")) == ast.dump(
             ast.parse(f"-1.0 * {_codegen(e)}")
         )
+
+    @settings(
+        max_examples=400, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(st.one_of(RANDOM_TREES, SOURCE_TREES), RANDOM_POINTS)
+    @example(ex.Mul(N_RANDOM, _X1, ex.Const(N_RANDOM, Fraction(-7, 3))), [0.3, 0.0, -1.5, 2.0])
+    @example(ex.Add(N_RANDOM, _X1, ex.Const(N_RANDOM, Fraction(10**20))), [0.7, 0.0, 0.0, 0.0])
+    @example(ex.Add(N_RANDOM, _X1, ex.Const(N_RANDOM, Fraction(2**53 + 1))), [3.0, 0.0, 0.0, 0.0])
+    @example(ex.Mul(N_RANDOM, _X1, ex.Const(N_RANDOM, Fraction(1, 10**400))), [-1.0, 0.0, 0.0, 0.0])
+    # a whole-entry 0: -1.0 * (0.0) is -0.0, as -1.0 * (0) was
+    @example(ex.Mul(N_RANDOM, _X2, ex.Const(N_RANDOM, Fraction(3))), [0.5, 0.25, 0.0, 0.0])
+    # no finite float: the exact text, whose use raises OverflowError on
+    # both sides; as a whole entry it is the int on both, which float() refuses
+    @example(ex.Mul(N_RANDOM, _X1, ex.Const(N_RANDOM, Fraction(10**400))), [1.0, 0.0, 0.0, 0.0])
+    @example(ex.Const(N_RANDOM, Fraction(10**400)), [1.0, 0.0, 0.0, 0.0])
+    def test_compiled_values_keep_the_bits_of_the_int_literal_source(self, e, z):
+        # the trees the constructors build, in which no constant meets a
+        # constant; the entries are e and its partials in x1 and x2
+        try:
+            e = ex.parse(ex.to_text(e), e.n)
+        except ex.ExprError:
+            assume(False)
+        entries = [e, ex.differentiate(e, ("x", 1)), ex.differentiate(e, ("x", 2))]
+        scales = [2.5, -1.0, -1.0]
+        new = [ex.compile_scalar(e), ex.compile_vector(entries),
+               ex.compile_scaled(zip(scales, entries), __name__)]
+        for f, old in zip(new, _int_literal_functions(entries, scales)):
+            assert _bits(f, z) == _bits(old, z)
 
 
 class TestOneExec:
