@@ -10,18 +10,19 @@ an adaptive Fehlberg RKF45; the Jacobian of the flow map is co-integrated
 from the exact symbolic Hessian of H.
 
 Both integrators are straight-line loops on lists of Python floats, each
-from one generator (_rk4_loop, _rkf45_loop) whose only forks are how a
-stage is written and, in RK4, where the state list is made, and each cached
-by what it is generated from (_loop).  An rhs
-that carries its ``terms`` (the compiled field, the Morse rhs) runs in a
+from one generator (_rk4_loop, _rkf45_loop) and cached by what it is
+generated from (_loop).  A generator forks only on how a stage is written
+and, in RK4, on where the state list is made; every loop runs a watch at
+its samples.  An rhs that carries its ``terms`` (the compiled field and the
+Morse rhs, both a scaled jet.gradient from expr.compile_scaled) runs in a
 loop whose stages compute those terms inline; any other rhs is called once
-per stage.  An observe that carries its ``watch`` runs that source inline
-in such a loop.  Both forms do the same operations in the same order, so
-they give the same path bit for bit.  The variational rhs is generated
-once per (H, q) (HamiltonianField.variational_rhs): gradient entries
-inline, the field Jacobian from the compiled Hessian tuple, one BLAS
-product.  field_from_gradient stays the pointwise form for single
-evaluations.
+per stage.  In such a loop an observe that carries its ``watch`` runs that
+source inline; any other observe is called at each sample.  Both forms do
+the same operations in the same order, so they give the same path bit for
+bit.  The variational rhs is generated once per (H, q)
+(HamiltonianField.variational_rhs): gradient entries inline, the field
+Jacobian from the compiled Hessian tuple, one BLAS product.
+field_from_gradient stays the pointwise form for single evaluations.
 """
 
 from __future__ import annotations
@@ -128,10 +129,9 @@ class HamiltonianField:
 
     @functools.cached_property
     def compiled_field(self) -> Callable[[Sequence[float]], list]:
-        """The field compiled once, rounding as field_from_gradient does: the rhs of the flows."""
-        grads = self.jet.derivatives
-        return ex.compile_scaled([(c, grads[i]) for c, i in _field_terms(self.n, self._qinv)],
-                                 __name__)
+        """The rhs of the flows, compiled once: field_from_gradient of
+        jet.gradient(z), with its rounding (expr.compile_scaled)."""
+        return ex.compile_scaled(self.jet, _field_terms(self.n, self._qinv), __name__)
 
     def field_from_gradient(self, g: Sequence[float]) -> list:
         """The field as a list of floats, given the gradient of H at the point."""
@@ -220,19 +220,20 @@ def _stage(ks: str, args: Optional[list], terms: Optional[tuple]) -> list:
     rhs at the state (args None) or at the argument sources ``args``.
     Generic: one call, ``rhs(z)`` on the state list or ``rhs([...])``.
     Fused, given the rhs's terms: the arguments s_i, then each entry
-    ``c * (e)`` on them (or on z_i), inline: the operations of the call, in
-    its order."""
+    ``c * (e)`` on them (or on z_i), inline: the floats of the call's
+    entries ``c * g[i]`` (expr.compile_scaled)."""
     indent = "            "
     if terms is None:
         return [f"{indent}{ks}, = rhs({'z' if args is None else '[' + ', '.join(args) + ']'})"]
     lines = [] if args is None else [f"{indent}s_{i} = {a}" for i, a in enumerate(args)]
-    entries = ex.scaled_entries(terms, "z_{}" if args is None else "s_{}")
-    return lines + [f"{indent}{k} = {v}" for k, v in zip(ks.split(", "), entries)]
+    pattern = "z_{}" if args is None else "s_{}"
+    return lines + [f"{indent}{k} = {c!r} * ({ex.to_text(e, ex.coordinate_names(pattern, e.n))})"
+                    for k, (c, e) in zip(ks.split(", "), terms)]
 
 
 @functools.lru_cache(maxsize=64)
-def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
-    """RK4 loop ``(rhs, z, nsteps, h, stride, observe) -> z``, generated.
+def _rk4_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
+    """RK4 loop ``(rhs, z, nsteps, h, stride, watch) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i:
     stage arguments ``z_i + half*k_i`` and ``z_i + h*k_i``, and the update
@@ -244,10 +245,10 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
     calls its rhs and makes z only where a sample is due; the last step is
     one, so z is the final state.
 
-    Given a watch source (see _loop), the last argument is the watch's
-    args, named ``watch``, and body runs with t = k*h where observe would be
-    called.  body must not assign the loop's names (its arguments, half,
-    sixth, k, t, a_i, b_i, c_i, e_i, s_i, z_i).
+    The watch source (see _loop) runs on the watch's args, the last
+    argument: setup once, body with t = k*h at every sample.  body must not
+    assign the loop's names (its arguments, half, sixth, k, t, a_i, b_i,
+    c_i, e_i, s_i, z_i).
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
     fused = terms is not None
@@ -256,13 +257,9 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
         args = [f"z_{i} + {scale} * {prev}_{i}" for i in range(d)] if prev else None
         return _stage(zs.replace("z_", k + "_"), args, terms)
 
-    setup, after = [], ["            observe(k * h, z)"]
-    if watch is not None:
-        setup = ["    " + line for line in watch[0].splitlines()]
-        after = ["            t = k * h", *("            " + line for line in watch[1].splitlines())]
     lines = [
-        f"def loop(rhs, z, nsteps, h, stride, {'observe' if watch is None else 'watch'}):",
-        *setup,
+        "def loop(rhs, z, nsteps, h, stride, watch):",
+        *("    " + line for line in watch[0].splitlines()),
         "    half = 0.5 * h",
         "    sixth = h / 6.0",
         f"    {zs}, = z",
@@ -281,36 +278,41 @@ def _rk4_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = No
         *([] if fused else [f"        z = [{zs}]"]),
         "        if k % stride == 0 or k == nsteps:",
         *([f"            z = [{zs}]"] if fused else []),
-        *after,
+        "            t = k * h",
+        *("            " + line for line in watch[1].splitlines()),
         "    return z",
     ]
     return ex.define("\n".join(lines) + "\n", "loop", __name__, non_finite=_NON_FINITE,
                      IntegrationError=IntegrationError)
 
 
+# The watch source of an observe that a loop calls at every sample.
+_CALL_WATCH = ("observe, = watch", "observe(t, z)")
+
+
 def _loop(generator: Callable, rhs: Callable, d: int, observe: Callable) -> tuple:
-    """(loop, last): the loop of ``generator`` (_rk4_loop or _rkf45_loop)
-    for ``rhs`` on states of length d, and what it takes in place of
-    observe.  Each generator keeps its 64 last loops, keyed by d, the
-    terms (scales and trees, compared by value) and the watch source, so
-    equal fields and systems share a loop across paths and runs.
+    """(loop, args): the loop of ``generator`` (_rk4_loop or _rkf45_loop)
+    for ``rhs`` on states of length d, and the args of its watch.  Each
+    generator keeps its 64 last loops, keyed by d, the terms (scales and
+    trees, compared by value) and the watch source, so equal fields and
+    systems share a loop across paths and runs.
 
     An rhs whose attribute ``terms`` holds (scale, expression) pairs
     computes ``[c * e(z) for c, e in terms]`` (expr.compile_scaled) and gets
-    the loop that inlines them.  Then an observe whose attribute ``watch``
-    is (source, args) runs ``source`` = (setup, body), lines of Python,
-    inline: setup binds names from the tuple ``watch`` (args) once; body
-    reads them, t, z and z_0, z_1, ..., and may raise to end the path.  The
-    path calls observe itself at t = 0 only, so state kept between samples
-    lives in args; last is then args.  An rhs without terms gets the loop
-    that calls rhs at every stage and observe at every sample.  A wrapper
+    the loop that inlines them; any other rhs is called at every stage.  A
+    watch is (source, args), source = (setup, body), lines of Python: setup
+    binds names from the tuple ``watch`` (args) once; body reads them, t, z
+    and z_0, z_1, ..., and may raise to end the path.  Given terms, an
+    observe whose attribute ``watch`` holds one runs it inline, so the path
+    calls observe itself at t = 0 only and state kept between samples lives
+    in args.  Otherwise the watch is _CALL_WATCH on (observe,).  A wrapper
     made with functools.wraps copies both attributes, so a caller that must
     see every call hands the path a plain closure, as bench/tracer.py's
     counting rhs is."""
     terms = getattr(rhs, "terms", None)
     watch = None if terms is None else getattr(observe, "watch", None)
-    source, last = (None, observe) if watch is None else watch
-    return generator(d, terms, source), last
+    source, args = (_CALL_WATCH, (observe,)) if watch is None else watch
+    return generator(d, terms, source), args
 
 
 def rk4_path(rhs, z0, t_final, step, stride, observe):
@@ -326,8 +328,8 @@ def rk4_path(rhs, z0, t_final, step, stride, observe):
     z = [float(v) for v in z0]
     nsteps = max(1, int(round(t_final / step)))
     observe(0.0, z)
-    loop, last = _loop(_rk4_loop, rhs, len(z), observe)
-    return loop(rhs, z, nsteps, t_final / nsteps, stride, last)
+    loop, args = _loop(_rk4_loop, rhs, len(z), observe)
+    return loop(rhs, z, nsteps, t_final / nsteps, stride, args)
 
 
 # Fehlberg 4(5) tableau.
@@ -376,8 +378,8 @@ def _numpy_sum_source(terms: list[str]) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = None) -> Callable:
-    """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, observe) -> z``, generated.
+def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
+    """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, watch) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i.
     Each component is computed in the order of the array form of the scheme,
@@ -398,10 +400,10 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
     steps the path raises IntegrationError.  Given the rhs's terms the
     stages are fused (_stage) and the loop never calls its rhs.
 
-    Given a watch source (see _loop), the last argument is the watch's
-    args, named ``watch``, and body runs where observe would be called.
-    body must not assign the loop's names (its arguments, t, r, accepted,
-    err, f, a_i, b_i, e_i, k<j>_i, s_i, w_i, y_i, z_i).
+    The watch source (see _loop) runs on the watch's args, the last
+    argument: setup once, body at every sample.  body must not assign the
+    loop's names (its arguments, t, r, accepted, err, f, a_i, b_i, e_i,
+    k<j>_i, s_i, w_i, y_i, z_i).
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
@@ -421,13 +423,9 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
             f"            {ks.replace(', ', ' = ')} = nan",
         ]
 
-    setup, after = [], ["                observe(t, z)"]
-    if watch is not None:
-        setup = ["    " + line for line in watch[0].splitlines()]
-        after = ["                " + line for line in watch[1].splitlines()]
     lines = [
-        f"def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, {'observe' if watch is None else 'watch'}):",
-        *setup,
+        "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, watch):",
+        *("    " + line for line in watch[0].splitlines()),
         f"    {zs}, = z",
         *(f"    a_{i} = abs(z_{i})" for i in comps),
         "    t, accepted = 0.0, 0",
@@ -457,7 +455,7 @@ def _rkf45_loop(d: int, terms: Optional[tuple] = None, watch: Optional[tuple] = 
         f"            if accepted > {_RKF45_BUDGET}:",
         '                raise IntegrationError("step budget exhausted", t)',
         "            if accepted % stride == 0 or t >= t_final:",
-        *after,
+        *("                " + line for line in watch[1].splitlines()),
         f"        elif not ({' and '.join(f'isfinite({v}_{i})' for v in 'yw' for i in comps)}):",
         "            h *= 0.25",
         "            continue",
@@ -488,43 +486,32 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
-    loop, last = _loop(_rkf45_loop, rhs, len(z), observe)
-    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, last)
+    loop, args = _loop(_rkf45_loop, rhs, len(z), observe)
+    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, args)
 
 
-def _make_observer(hamiltonian: ex.Node, energy: Callable):
+def _make_observer(jet: ex.JetEvaluator):
     """``(ts, states, es, observe)``: observe(t, z) keeps t, the integrator's
-    list z (new at each sample) and H(z).  observe carries its source
-    (_sampler) as its ``watch``, so a fused loop runs that inline (_loop).
-    H is written inline on Python floats and rounds as ``energy`` (H
-    compiled, e.g. JetEvaluator.value); where Python floats raise, energy is
-    called on float64, which rounds the same but gives inf or nan (a math
-    function of those still raises, as IntegrationError)."""
+    list z (new at each sample) and H(z), H = jet.expression written inline
+    on Python floats; it carries that source as its ``watch`` (see _loop),
+    on args = (ts.append, states.append, es.append, retry, the exceptions
+    Python floats raise).  H reads the first 2n components, so a state may
+    carry more (a Jacobian), and rounds as jet.value; where Python floats
+    raise, jet.value is called on float64, which rounds the same but gives
+    inf or nan (a math function of those still raises, as IntegrationError)."""
     ts, states, es = [], [], []
 
     def retry(t, z):
         try:
-            return energy(np.asarray(z, dtype=float))
+            return jet.value(np.asarray(z, dtype=float))
         except _NON_FINITE as err:
             raise IntegrationError("solution blew up", t) from err
 
-    source, make = _sampler(hamiltonian)
-    args = (ts.append, states.append, es.append, retry, _NON_FINITE)
-    observe = make(args)
-    observe.watch = (source, args)
-    return ts, states, es, observe
-
-
-def _sampler(hamiltonian: ex.Node) -> tuple:
-    """(source, make): the sample watch of _make_observer as a watch source
-    (see _loop), and ``make(args) -> observe`` running it on args = (ts.append,
-    states.append, es.append, retry, the exceptions Python floats raise).
-    H reads the first 2n components, so a state may carry more (a Jacobian)."""
-    names = ex.coordinate_names("z_{}", hamiltonian.n)
+    names = ex.coordinate_names("z_{}", jet.n)
     setup = "ts_append, states_append, es_append, retry, raising = watch"
     body = "\n".join([
         "try:",
-        f"    energy = {ex.to_text(hamiltonian, names)}",
+        f"    energy = {ex.to_text(jet.expression, names)}",
         "except raising:",
         "    energy = retry(t, z)",
         "ts_append(t)",
@@ -535,7 +522,10 @@ def _sampler(hamiltonian: ex.Node) -> tuple:
              f"        {', '.join(names)}, = z[:{len(names)}]"]
     lines += ["        " + line for line in body.splitlines()]
     lines.append("    return observe")
-    return (setup, body), ex.define("\n".join(lines) + "\n", "make", __name__)
+    args = (ts.append, states.append, es.append, retry, _NON_FINITE)
+    observe = ex.define("\n".join(lines) + "\n", "make", __name__)(args)
+    observe.watch = ((setup, body), args)
+    return ts, states, es, observe
 
 
 def _trajectory(spec: FlowSpec, ts: list, zs: np.ndarray, es: list) -> Trajectory:
@@ -563,7 +553,7 @@ def _path(spec: FlowSpec, rhs, z0, observe) -> None:
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
     """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    ts, zs, es, observe = _make_observer(f.jet.expression, f.jet.value)
+    ts, zs, es, observe = _make_observer(f.jet)
     _path(spec, f.compiled_field, z0.as_array(), observe)
     return _trajectory(spec, ts, np.array(zs), es)
 
@@ -573,7 +563,7 @@ def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
     f = HamiltonianField(spec.hamiltonian, spec.q)
     n2 = 2 * spec.n
     # H reads the first 2n entries of the state
-    ts, states, es, observe = _make_observer(f.jet.expression, f.jet.value)
+    ts, states, es, observe = _make_observer(f.jet)
     _path(spec, f.variational_rhs, np.concatenate([z0.as_array(), np.eye(n2).ravel()]), observe)
     states = np.array(states)
     trajectory = _trajectory(spec, ts, states[:, :n2], es)

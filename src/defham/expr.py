@@ -50,7 +50,6 @@ __all__ = [
     "compile_vector",
     "compile_scaled",
     "coordinate_names",
-    "scaled_entries",
     "define",
     "hessian_index",
     "matrix_source",
@@ -93,9 +92,10 @@ def define(source: str, name: str, module: str, **env) -> Callable:
 def _node(cls):
     """A frozen dataclass whose hash, the one the dataclass computes from
     its fields, is computed once: a node never changes, and a tree is
-    otherwise rehashed whole at every lookup of it.  Its generated
-    ``__init__`` calls one global ``object.__setattr__`` per field."""
-    cls = dataclass(frozen=True)(cls)
+    otherwise rehashed whole at every lookup of it.  Its ``__init__``,
+    generated here and not by the dataclass, calls one global
+    ``object.__setattr__`` per field."""
+    cls = dataclass(frozen=True, init=False)(cls)
     field_hash = cls.__hash__
 
     def __hash__(self):
@@ -667,23 +667,20 @@ def compile_vector(exprs: Iterable[Node]) -> Callable[[Sequence[float]], tuple]:
     return define(f"def _f(z):\n    return ({body},)\n", "_f", __name__)
 
 
-def scaled_entries(terms: Iterable[tuple[float, Node]], pattern: str) -> list[str]:
-    """The source ``c * (e)`` of each entry of ``terms``, rounding as c times
-    the compiled e (``-1.0 * (0.0)`` is -0.0), its coordinates named by
-    ``pattern`` (see coordinate_names)."""
-    return [f"{c!r} * ({to_text(e, coordinate_names(pattern, e.n))})" for c, e in terms]
-
-
 def compile_scaled(
-    terms: Iterable[tuple[float, Node]], module: str
+    jet: "JetEvaluator", pairs: Iterable[tuple[float, int]], module: str
 ) -> Callable[[Sequence[float]], list]:
-    """Compile ``z -> [c * e(z) for c, e in terms]`` (scaled_entries); it
-    carries the terms as its attribute ``terms``, for the loops that inline
-    them.  ``module`` is its ``__module__``."""
-    terms = tuple(terms)
-    body = ", ".join(scaled_entries(terms, "z[{}]"))
-    f = define(f"def _f(z):\n    return [{body}]\n", "_f", module)
-    f.terms = terms
+    """Compile ``z -> [c * g[i] for c, i in pairs]``, g = jet.gradient(z),
+    looked up at each call, so a wrapper patched on JetEvaluator sees every
+    call.  Each entry rounds as ``c * (e)`` on the source of the i-th
+    derivative e (``-1.0 * (0.0)`` is -0.0).  It carries ((c, e), ...) as
+    its attribute ``terms``, for the loops that inline them.  ``module`` is
+    its ``__module__``."""
+    pairs = tuple(pairs)
+    body = ", ".join(f"{c!r} * g[{i}]" for c, i in pairs)
+    f = define(f"def _f(z):\n    g = jet.gradient(z)\n    return [{body}]\n", "_f", module,
+               jet=jet)
+    f.terms = tuple((c, jet.derivatives[i]) for c, i in pairs)
     return f
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "MorseOptions",
     "CriticalPoint",
     "IndexCertificate",
-    "FlowLineCount",
     "MorseComplex",
     "MorseSpecError",
     "MorseConditionError",
@@ -63,7 +62,7 @@ class MorseConditionError(RuntimeError):
     """A computed critical point violates the Morse (nondegeneracy) condition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MorseSpec:
     """Data of the multiplier Hamiltonian H_q = f + sum y_i w_i + q g."""
 
@@ -190,14 +189,6 @@ class IndexCertificate:
         return self.separable and self.total == self.base_index + self.fibre_index + self.k
 
 
-@dataclass(frozen=True)
-class FlowLineCount:
-    raw: int
-    mod2: int
-    registered: tuple  # mesh parameters (indices) that registered
-    escaped_fraction: float
-
-
 @dataclass
 class MorseComplex:
     generators: dict  # index -> list[CriticalPoint]
@@ -263,20 +254,13 @@ class _System:
 
     @functools.cached_property
     def rhs(self) -> Callable[[list], list]:
-        """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of floats,
-        generated once: ``[c_i * g_i]`` over the first self.dim entries of
-        ``jet.gradient(u)`` (a base-only gradient holds constant zeros past
-        them).  It carries its terms (c_i, i-th derivative) as ``rhs.terms``,
-        which rkf45_path inlines (dynamics._loop); a loop that calls it
-        looks jet.gradient up per call, so a wrapper patched on the class
-        sees each one."""
-        g = [f"g{i}" for i in range(len(self.jet.derivatives))]
-        scales = (-self.scales).tolist()
-        scaled = ", ".join(f"{c!r} * {v}" for c, v in zip(scales, g))
-        source = f"def rhs(u):\n    {', '.join(g)}, = jet.gradient(u)\n    return [{scaled}]\n"
-        rhs = ex.define(source, "rhs", __name__, jet=self.jet)
-        rhs.terms = tuple(zip(scales, self.jet.derivatives))
-        return rhs
+        """Negative G_q-gradient flow (-dH/dx, -(1/q) dH/dy) on a list of
+        floats, compiled once (expr.compile_scaled): the first self.dim
+        entries of jet.gradient(u) times -self.scales (a base-only gradient
+        holds constant zeros past them).  rkf45_path inlines its terms
+        (dynamics._loop)."""
+        return ex.compile_scaled(self.jet, [(-c, i) for i, c in enumerate(self.scales.tolist())],
+                                 __name__)
 
     def symmetrized_hessian(self, u: np.ndarray) -> np.ndarray:
         """W^{1/2} Hess W^{1/2}: same inertia as the linearized flow."""
@@ -839,13 +823,11 @@ def _lines_from(
     p_minus: CriticalPoint,
     stop_points: Sequence[np.ndarray],
     keep_states: bool = False,
-) -> tuple[dict, float]:
-    """All registered flow lines out of p_minus, grouped by capture target.
-
-    Returns ({target index: [(angle, captured shot), ...]}, escaped
-    fraction of the coarse sweep).  A coarse sweep over the unstable-sphere
-    mesh collects direct captures and fate changes; each fate change is
-    refined by bisection onto the separatrix.
+) -> dict:
+    """All registered flow lines out of p_minus, grouped by capture target:
+    {target index: [(angle, captured shot), ...]}.  A coarse sweep over the
+    unstable-sphere mesh collects direct captures and fate changes; each
+    fate change is refined by bisection onto the separatrix.
     """
     opts = system.options
     u_minus = system.coords(p_minus)
@@ -864,7 +846,7 @@ def _lines_from(
             )
             if shot.outcome == "captured":
                 register(theta, shot)
-        return lines, 0.0
+        return lines
 
     if m != 2:
         raise NotImplementedError(
@@ -876,7 +858,6 @@ def _lines_from(
         _angle_shot(system, u_minus, frame, t, stop_points, opts.rel_tol, keep_states)
         for t in thetas
     ]
-    escaped = sum(1 for r in coarse if r.outcome == "escaped") / len(coarse)
     fates = [_fate(system, shot) for shot in coarse]
     for t, shot, fate in zip(thetas, coarse, fates):
         if fate[0] == "captured":
@@ -915,7 +896,7 @@ def _lines_from(
             if gap > 0.5 * spacing:
                 deduped.append((theta, shot))
         lines[target] = deduped
-    return lines, escaped
+    return lines
 
 
 def count_flow_lines(
@@ -923,8 +904,8 @@ def count_flow_lines(
     p_minus: CriticalPoint,
     p_plus: CriticalPoint,
     options: Optional[MorseOptions] = None,
-) -> FlowLineCount:
-    """Mod-2 (with raw) count of flow lines from p_minus down to p_plus.
+) -> int:
+    """The raw count of flow lines from p_minus down to p_plus.
 
     Shoots from a mesh on a small sphere in the unstable subspace of
     p_minus and bisects fate changes until trajectories enter the capture
@@ -936,13 +917,7 @@ def count_flow_lines(
         )
     options = options or MorseOptions()
     system = _System(spec, options)
-    lines, escaped = _lines_from(system, p_minus, [system.coords(p_plus)])
-    to_target = lines.get(0, [])
-    raw = len(to_target)
-    registered = tuple(round(theta, 9) for theta, _ in to_target)
-    return FlowLineCount(
-        raw=raw, mod2=raw % 2, registered=registered, escaped_fraction=escaped
-    )
+    return len(_lines_from(system, p_minus, [system.coords(p_plus)]).get(0, []))
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +947,7 @@ def build_complex(spec: MorseSpec, options: Optional[MorseOptions] = None) -> Mo
             stop_points = [system.coords(p) for p in rows] + [
                 system.coords(p) for p in points if p.index < m - 1
             ]
-            lines, _ = _lines_from(system, p_minus, stop_points)
+            lines = _lines_from(system, p_minus, stop_points)
             for row in range(len(rows)):
                 raw = len(lines.get(row, []))
                 counts[((m, col), (m - 1, row))] = raw
@@ -1111,7 +1086,7 @@ def adiabatic_deviation(
         system = _System(spec_q, options)
         others = [p for p in points if p not in (p_minus, p_plus)]
         stop_points = [p_plus.coords()] + [p.coords() for p in others]
-        lines, _ = _lines_from(system, p_minus, stop_points, keep_states=True)
+        lines = _lines_from(system, p_minus, stop_points, keep_states=True)
         best = None
         for _, shot in lines.get(0, []):
             deviation = max(meter(z) for z in shot.states)

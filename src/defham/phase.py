@@ -42,7 +42,7 @@ def wrap_angles(x: np.ndarray) -> np.ndarray:
     return np.mod(x, TWO_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PhasePoint:
     """Point z = (x, y); torus points store x reduced mod 2*pi."""
 
@@ -77,7 +77,7 @@ class PhasePoint:
         return cls(z[:n], z[n:], space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TangentVector:
     """Tangent vector split into horizontal (a) and vertical (b) parts."""
 

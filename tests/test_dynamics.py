@@ -9,6 +9,7 @@ import functools
 import gc
 import math
 import sys
+import types
 import weakref
 from fractions import Fraction
 
@@ -123,7 +124,7 @@ class TestCompiledField:
         # a tracer charges a callback to the layer named by its __module__
         field = HamiltonianField(ex.parse(OSC, 1), 0.5)
         assert field.compiled_field.__module__ == "defham.dynamics"
-        assert dynamics._rk4_loop(2).__module__ == "defham.dynamics"
+        assert dynamics._rk4_loop(2, None, dynamics._CALL_WATCH).__module__ == "defham.dynamics"
 
 
 class TestDissipationIdentity:
@@ -474,8 +475,10 @@ def _fused_and_generic(path, rhs, z0, *args):
 
 
 class TestFusedLoop:
-    """A compiled rhs (expr.compile_scaled, _System.rhs) runs in a loop that
-    inlines its terms; the loop must round as the generic loop that calls it."""
+    """A compiled rhs (expr.compile_scaled: the compiled field, _System.rhs)
+    runs in a loop that inlines its terms; the loop must round as the generic
+    loop that calls it.  Both run a watch at every sample: the observe's
+    own, or one that calls the observe."""
 
     @pytest.mark.parametrize("name,make,q", SYSTEMS, ids=[s[0] for s in SYSTEMS])
     def test_morse_paths_match_the_generic_loop(self, name, make, q):
@@ -525,7 +528,7 @@ class TestFusedLoop:
             assert len(fused[0]) > 10
         samples = []
         for f in (rhs, lambda z: rhs(z)):
-            ts, states, es, observe = dynamics._make_observer(h, ex.JetEvaluator(h).value)
+            ts, states, es, observe = dynamics._make_observer(ex.JetEvaluator(h))
             assert observe.watch
             z = path(f, [0.9, -0.4], *args, observe)
             samples.append((ts, np.array(states).tobytes(), es, np.array(z).tobytes()))
@@ -612,7 +615,7 @@ class TestFusedLoop:
 
         def counting(source, name, module, **env):
             if name == "loop":
-                generated.append(source.split("\n", 1)[0])
+                generated.append(source)
             return define(source, name, module, **env)
 
         monkeypatch.setattr(ex, "define", counting)
@@ -621,7 +624,7 @@ class TestFusedLoop:
         z0 = [1.0, 2.0]
         for _ in range(2):
             field = HamiltonianField(ex.parse(OSC, 1), 0.5)
-            _, _, _, sampler = dynamics._make_observer(field.jet.expression, field.jet.value)
+            _, _, _, sampler = dynamics._make_observer(field.jet)
             for observe in (lambda t, z: None, sampler):
                 dynamics.rk4_path(field.compiled_field, z0, 1.0, 1e-2, 1, observe)
                 rkf45_path(field.compiled_field, z0, 1.0, 1e-9, 1e-11, 1, observe)
@@ -709,6 +712,34 @@ class TestRhsCounting:
             assert counts["calls"] == 6 * (steps + counts["rejected"])
         for field in ("ts", "zs", "energies"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_one_jet_gradient_per_field_call(self, monkeypatch, integrator):
+        # as tests/test_morse.py::TestRhsCounting: a wrapper patched on the
+        # class attribute JetEvaluator.gradient sees every call of a compiled
+        # field, also one generated before the patch, handed to a path as a
+        # counting closure
+        field = HamiltonianField(ex.parse(self.H2, 2), 0.5)
+        rhs = field.compiled_field
+        counts = {"gradient": 0, "rhs": 0}
+        gradient = ex.JetEvaluator.gradient
+
+        def counting_gradient(jet, z):
+            counts["gradient"] += 1
+            return gradient(jet, z)
+
+        def counted(z):
+            counts["rhs"] += 1
+            return rhs(z)
+
+        monkeypatch.setattr(ex.JetEvaluator, "gradient", counting_gradient)
+        z0 = [0.7, -0.4, 0.3, 0.9]
+        if integrator == "rk4":
+            dynamics.rk4_path(counted, z0, 2.0, 1e-2, 1, lambda t, z: None)
+        else:
+            rkf45_path(counted, z0, 2.0, 1e-6, 1e-8, 1, lambda t, z: None)
+        assert counts["rhs"] > 100
+        assert counts["gradient"] == counts["rhs"]
 
 
 class TestErrorNormSum:
@@ -881,7 +912,10 @@ class TestObserver:
     @example(_tree("sin(x1*x1*x1) + y1"), [1e200, 0.0, 0.0, 0.0])  # sin(inf): raises
     def test_energies_equal_the_float64_observer(self, h, z):
         energy = ex.compile_scalar(h)  # what JetEvaluator.value calls
-        ts, states, es, observe = dynamics._make_observer(h, energy)
+        # the observer reads n, expression and value of its jet only; a tree
+        # whose derivative divides by a constant zero has no JetEvaluator
+        jet = types.SimpleNamespace(n=h.n, expression=h, value=energy)
+        ts, states, es, observe = dynamics._make_observer(jet)
         try:
             want = _float64_energy(energy, z, 0.5)
         except IntegrationError:

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 
 from defham import expr as ex
 from defham.cli import _run_bracket
-from defham.dynamics import FlowSpec, HamiltonianField, _regime_rates, _rk4_loop, _rkf45_loop
+from defham.dynamics import (
+    _CALL_WATCH, FlowSpec, HamiltonianField, _regime_rates, _rk4_loop, _rkf45_loop,
+)
 from defham.morse import MorseOptions, MorseSpec, _System, build_hamiltonian
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point, tree_evaluate
@@ -729,13 +731,15 @@ def _bits(f, z):
         return type(err)
 
 
-def _int_literal_functions(entries, scales):
+def _int_literal_functions(entries, jet, pairs):
     """compile_scalar of entries[0], compile_vector of entries and
-    compile_scaled of zip(scales, entries), from the exact-constant source."""
+    compile_scaled of jet and pairs, from the exact-constant source."""
     old = [_codegen(e, floats=False) for e in entries]
-    scaled = ", ".join(f"{c!r} * {s}" for c, s in zip(scales, old))
-    return [ex.define(f"def _f(z):\n    return {body}\n", "_f", __name__)
-            for body in (old[0], f"({', '.join(old)},)", f"[{scaled}]")]
+    grads = ", ".join(_codegen(e, floats=False) for e in jet.derivatives)
+    scaled = ", ".join(f"{c!r} * g[{i}]" for c, i in pairs)
+    bodies = [f"return {old[0]}", f"return ({', '.join(old)},)",
+              f"g = ({grads},)\n    return [{scaled}]"]
+    return [ex.define(f"def _f(z):\n    {body}\n", "_f", __name__) for body in bodies]
 
 
 _X2 = ex.Var(N_RANDOM, "x", 2)
@@ -745,8 +749,8 @@ class TestPrinter:
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(SOURCE_TREES)
     def test_python_source_parses_as_the_fully_parenthesized_source(self, e):
-        # equal ASTs compile to equal code; c * (e) is how compile_scaled
-        # scales an entry
+        # equal ASTs compile to equal code; c * (e) is how a fused loop
+        # inlines an entry of a compiled rhs
         source = ex.to_text(e, ex.coordinate_names("z[{}]", e.n))
         assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(_codegen(e)))
         assert ast.dump(ast.parse(f"-1.0 * ({source})")) == ast.dump(
@@ -770,16 +774,17 @@ class TestPrinter:
     @example(ex.Const(N_RANDOM, Fraction(10**400)), [1.0, 0.0, 0.0, 0.0])
     def test_compiled_values_keep_the_bits_of_the_int_literal_source(self, e, z):
         # the trees the constructors build, in which no constant meets a
-        # constant; the entries are e and its partials in x1 and x2
+        # constant; the entries are e and its partials in x1 and x2, and the
+        # scaled entries three of the four partials of e's jet
         try:
             e = ex.parse(ex.to_text(e), e.n)
         except ex.ExprError:
             assume(False)
         entries = [e, ex.differentiate(e, ("x", 1)), ex.differentiate(e, ("x", 2))]
-        scales = [2.5, -1.0, -1.0]
+        jet, pairs = ex.JetEvaluator(e), [(2.5, 0), (-1.0, 1), (-1.0, 2)]
         new = [ex.compile_scalar(e), ex.compile_vector(entries),
-               ex.compile_scaled(zip(scales, entries), __name__)]
-        for f, old in zip(new, _int_literal_functions(entries, scales)):
+               ex.compile_scaled(jet, pairs, __name__)]
+        for f, old in zip(new, _int_literal_functions(entries, jet, pairs)):
             assert _bits(f, z) == _bits(old, z)
 
 
@@ -794,7 +799,8 @@ class TestOneExec:
         # a tracer charges a generated callback to the layer its __module__ names
         field = HamiltonianField(ex.parse("x1*y1 + y1^2/2", 1), 0.5)
         assert field.compiled_field.__module__ == "defham.dynamics"
-        assert _rk4_loop(3).__module__ == _rkf45_loop(3).__module__ == "defham.dynamics"
+        rk4, rkf45 = _rk4_loop(3, None, _CALL_WATCH), _rkf45_loop(3, None, _CALL_WATCH)
+        assert rk4.__module__ == rkf45.__module__ == "defham.dynamics"
         spec = MorseSpec(2, ex.parse("x2/3", 2), [ex.parse("x1^2 + x2^2 - 1", 2), ex.parse("0", 2)],
                          ex.parse("y2^2/5", 2), q=0.5)
         assert _System(spec, MorseOptions()).rhs.__module__ == "defham.morse"

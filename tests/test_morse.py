@@ -249,7 +249,7 @@ class TestComplex:
             stop_points = [system.coords(p) for p in points if p.index < p_minus.index]
             if not stop_points:
                 continue
-            lines, _ = _lines_from(system, p_minus, stop_points)
+            lines = _lines_from(system, p_minus, stop_points)
             for target, found in lines.items():
                 for _, shot in found:
                     assert shot.outcome == "captured" and shot.target == target
