@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,12 +246,10 @@ _KIND_SCHEMAS = {
 
 # RK4 steps (t_final / step) a scenario may declare: 100 times the golden
 # maxima, 10,000 per flow and 50,000 per sweep (regime_trichotomy), so that
-# a valid flow ends.  RKF45 paths end by their step budget instead.
+# a valid flow ends.  RKF45 paths end by their step budget instead, which
+# also bounds their stored floats (dynamics.rkf45_path).
 _RK4_STEPS_PER_FLOW = 1_000_000
 _RK4_STEPS_PER_SWEEP = 5_000_000
-# floats one RK4 flow may store (samples times state length): 125 times the
-# golden maximum of 20,002 (regime_trichotomy: 10,001 samples of 2)
-_RK4_FLOATS_PER_FLOW = 2_500_000
 
 
 def _sweep_wants_flow(doc) -> bool:
@@ -261,26 +260,27 @@ def _sweep_wants_flow(doc) -> bool:
         for obs in doc["observables"])
 
 
-def _check_rk4_bounds(doc) -> None:
+def _check_rk4_bounds(doc, flow: dyn.FlowSpec) -> None:
     """ScenarioError if the RK4 flows of a flow scenario declare more steps
     than the bounds allow, per flow or in all of a sweep's flows, or if one
-    flow would store more floats than its bound."""
-    integ = doc.get("integrator", {"type": "rk4"})
-    if integ["type"] != "rk4":
+    flow would store more floats than dynamics._FLOATS_PER_FLOW.  The
+    integrator, step, t_final and stride are the flow's; doc gives the
+    error paths and a sweep's observables."""
+    if flow.integrator != "rk4":
         return
-    steps = doc["t_final"] / integ.get("step", 1e-3)
-    where = "/integrator/step" if "step" in integ else "/t_final"
+    steps = flow.t_final / flow.step
+    where = "/integrator/step" if "step" in doc.get("integrator", {}) else "/t_final"
     if steps > _RK4_STEPS_PER_FLOW:
         raise ScenarioError(f"{where}: {steps:.3g} RK4 steps per flow (t_final / step) "
                             f"exceed the bound of {_RK4_STEPS_PER_FLOW:,}")
     n, kind = doc["n"], doc["kind"]
     variational = kind == "verify-flow" or "symplectic_defect" in doc.get("observables", [])
     size = 2 * n + 4 * n * n if variational else 2 * n  # the largest flow's state
-    samples = math.ceil(steps / doc.get("sample_stride", 1)) + 1
-    if samples * size > _RK4_FLOATS_PER_FLOW and (kind != "sweep" or _sweep_wants_flow(doc)):
+    samples = math.ceil(steps / flow.sample_stride) + 1
+    if samples * size > dyn._FLOATS_PER_FLOW and (kind != "sweep" or _sweep_wants_flow(doc)):
         where = where if kind == "sweep" else "/sample_stride"
         raise ScenarioError(f"{where}: {samples:,} samples of {size} floats in one RK4 flow "
-                            f"exceed the bound of {_RK4_FLOATS_PER_FLOW:,} stored floats")
+                            f"exceed the bound of {dyn._FLOATS_PER_FLOW:,} stored floats")
     if kind == "sweep":
         per_q = _sweep_wants_flow(doc) + ("symplectic_defect" in doc["observables"])
         flows = len(doc["q_list"]) * per_q
@@ -360,8 +360,11 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
 def validate_scenario(doc) -> dict:
     """Check a scenario and return the inputs ``run`` executes: the trees of
     ``hamiltonian``, ``f``, ``w`` and ``g``, the ``poly`` of a classify
-    Hamiltonian, and the ``specs`` and ``options`` of a morse run.  Raises
-    ScenarioError (with JSON-pointer paths) if the scenario is bad."""
+    Hamiltonian, the ``flow`` (a dynamics.FlowSpec, at the first q of a
+    sweep) and its start ``z0`` of a simulate, verify-flow or sweep run,
+    and the ``specs`` and ``options`` of a morse run.  A flow gets only the
+    keys the scenario sets, so FlowSpec's defaults are the flow defaults.
+    Raises ScenarioError (with JSON-pointer paths) if the scenario is bad."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = doc.get("kind")
@@ -403,7 +406,15 @@ def validate_scenario(doc) -> dict:
     if "z0" in doc and len(doc["z0"]) != 2 * n:
         raise ScenarioError(f"/z0: expected {2 * n} coordinates, got {len(doc['z0'])}")
     if kind in ("simulate", "verify-flow", "sweep"):
-        _check_rk4_bounds(doc)
+        integ = dict(doc.get("integrator", {}))
+        if integ:
+            integ["integrator"] = integ.pop("type")
+        keys = {key: doc[key] for key in ("space", "sample_stride") if key in doc}
+        q = doc["q_list"][0] if kind == "sweep" else doc["q"]
+        flow = parsed["flow"] = dyn.FlowSpec(parsed["hamiltonian"], n, q,
+                                             t_final=doc["t_final"], **integ, **keys)
+        parsed["z0"] = PhasePoint(doc["z0"][:n], doc["z0"][n:], flow.space)
+        _check_rk4_bounds(doc, flow)
     if kind == "verify-flow" and doc["mode"] == "conformal" and "c" not in doc:
         raise ScenarioError("/c: conformal mode requires the rate c")
     if kind == "morse":
@@ -513,36 +524,13 @@ class Checks:
         return all(r["pass"] for r in self.records)
 
 
-def _flow_spec(doc, hamiltonian: ex.Node, q: float) -> dyn.FlowSpec:
-    integ = doc.get("integrator", {"type": "rk4"})
-    return dyn.FlowSpec(
-        hamiltonian=hamiltonian,
-        n=doc["n"],
-        q=q,
-        space=doc.get("space", "plane"),
-        integrator=integ["type"],
-        step=integ.get("step", 1e-3),
-        rel_tol=integ.get("rel_tol", 1e-10),
-        abs_tol=integ.get("abs_tol", 1e-12),
-        t_final=doc["t_final"],
-        sample_stride=doc.get("sample_stride", 1),
-    )
-
-
-def _z0(doc) -> PhasePoint:
-    n = doc["n"]
-    z = doc["z0"]
-    return PhasePoint(z[:n], z[n:], doc.get("space", "plane"))
-
-
 # ---------------------------------------------------------------------------
 # Kind runners.  Each takes the scenario and what validate_scenario parsed
 # from it, and returns (checks, artifacts: dict[str, str]).
 
 
 def _run_simulate(doc, parsed):
-    spec = _flow_spec(doc, parsed["hamiltonian"], doc["q"])
-    trajectory = dyn.integrate(spec, _z0(doc))
+    trajectory = dyn.integrate(parsed["flow"], parsed["z0"])
     checks = Checks()
     for check in doc.get("checks", []):
         # the schema admits only energy_drift
@@ -553,8 +541,7 @@ def _run_simulate(doc, parsed):
 
 
 def _run_verify_flow(doc, parsed):
-    spec = _flow_spec(doc, parsed["hamiltonian"], doc["q"])
-    vf = dyn.integrate_variational(spec, _z0(doc))
+    vf = dyn.integrate_variational(parsed["flow"], parsed["z0"])
     mode = doc["mode"]
     defects = dyn.pullback_defect(vf, mode=mode, c=doc.get("c"))
     values = [d for _, d in defects]
@@ -689,16 +676,16 @@ def _run_morse(doc, parsed):
     return checks, {doc.get("output", "morse_report.json"): _json_dumps(report)}
 
 
-def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
-    """One row of the sweep at q, with the regime violations of its flow
-    for each tolerance in ``regime_tols`` (a row whose flow failed counts
-    as one violation)."""
+def _sweep_row(doc, parsed, q: float, regime_tols: set):
+    """One row of the sweep at q, which integrates the parsed flow at q, with
+    the regime violations of its flow for each tolerance in ``regime_tols``
+    (a row whose flow failed counts as one violation)."""
     row: dict = {"q": q, "error": "", "violations": dict.fromkeys(regime_tols, 1)}
     try:
-        spec = _flow_spec(doc, hamiltonian, q)
+        spec = replace(parsed["flow"], q=q)
         trajectory = None
         if _sweep_wants_flow(doc):
-            trajectory = dyn.integrate(spec, _z0(doc))
+            trajectory = dyn.integrate(spec, parsed["z0"])
             for tol in regime_tols:
                 row["violations"][tol] = dyn.regime_violations(spec, trajectory, tol)
         for obs in doc["observables"]:
@@ -712,7 +699,7 @@ def _sweep_row(doc, hamiltonian: ex.Node, q: float, regime_tols: set):
             elif obs == "fibre_volume_ratio":
                 row[obs] = fibre_volume_ratio(MetricFamily(n=doc["n"], q=q))
             elif obs == "symplectic_defect":
-                vf = dyn.integrate_variational(spec, _z0(doc))
+                vf = dyn.integrate_variational(spec, parsed["z0"])
                 row[obs] = max(d for _, d in dyn.pullback_defect(vf))
     except _COMPUTATION_FAILURES as err:  # per-q failure is recorded, sweep continues
         row["error"] = str(err)
@@ -728,7 +715,7 @@ def _run_sweep(doc, parsed):
         (c["type"], c.get("tol", _SWEEP_CHECK_TOL[c["type"]])) for c in doc.get("checks", [])
     ]
     regime_tols = {tol for kind, tol in wanted if kind == "regime_trichotomy"}
-    rows = [_sweep_row(doc, parsed["hamiltonian"], q, regime_tols) for q in doc["q_list"]]
+    rows = [_sweep_row(doc, parsed, q, regime_tols) for q in doc["q_list"]]
     rows.sort(key=lambda r: r["q"])
 
     columns = ["q", *doc["observables"], "error"]

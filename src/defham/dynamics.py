@@ -348,6 +348,11 @@ _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 # path of the golden scenarios (1,643) or of the 40 bench seeds took.  A
 # step size that stalls above the underflow bound ends here.
 _RKF45_BUDGET = 200_000
+# floats one flow may store (samples times state length): 125 times the
+# golden maximum of 20,002 (regime_trichotomy: 10,001 samples of 2).  An
+# RK4 flow that would store more is invalid (cli); an RKF45 path's step
+# budget is cut to store no more (rkf45_path).
+_FLOATS_PER_FLOW = 2_500_000
 
 
 def _numpy_sum_source(terms: list[str]) -> str:
@@ -379,7 +384,7 @@ def _numpy_sum_source(terms: list[str]) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
-    """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, watch) -> z``, generated.
+    """RKF45 loop ``(rhs, z, t_final, h, rel_tol, abs_tol, stride, budget, watch) -> z``, generated.
 
     Straight-line code for states of length d on unpacked components z_i.
     Each component is computed in the order of the array form of the scheme,
@@ -396,14 +401,14 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     whose rhs raises OverflowError, ZeroDivisionError or ValueError is set
     to nan, as inf or nan would spread through the array form.  The first
     stage of an attempt gets the state list itself, which a rejected attempt
-    reuses; an accepted step makes a new list.  Past _RKF45_BUDGET accepted
+    reuses; an accepted step makes a new list.  Past ``budget`` accepted
     steps the path raises IntegrationError.  Given the rhs's terms the
     stages are fused (_stage) and the loop never calls its rhs.
 
     The watch source (see _loop) runs on the watch's args, the last
     argument: setup once, body at every sample.  body must not assign the
-    loop's names (its arguments, t, r, accepted, err, f, a_i, b_i, e_i,
-    k<j>_i, s_i, w_i, y_i, z_i).
+    loop's names (its arguments, budget among them, t, r, accepted, err,
+    f, a_i, b_i, e_i, k<j>_i, s_i, w_i, y_i, z_i).
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
@@ -424,7 +429,7 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
         ]
 
     lines = [
-        "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, watch):",
+        "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, budget, watch):",
         *("    " + line for line in watch[0].splitlines()),
         f"    {zs}, = z",
         *(f"    a_{i} = abs(z_{i})" for i in comps),
@@ -452,7 +457,7 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
         f"            {zs}, = z = [{zs.replace('z_', 'y_')}]",
         *(f"            a_{i} = b_{i}" for i in comps),
         "            accepted += 1",
-        f"            if accepted > {_RKF45_BUDGET}:",
+        "            if accepted > budget:",
         '                raise IntegrationError("step budget exhausted", t)',
         "            if accepted % stride == 0 or t >= t_final:",
         *("                " + line for line in watch[1].splitlines()),
@@ -481,13 +486,16 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
     OverflowError, ZeroDivisionError or ValueError.  Such a stage counts as
     non-finite: the step is quartered and retried, so a blow-up still ends
     in IntegrationError once the step underflows; a path whose step stalls
-    above that ends in IntegrationError past _RKF45_BUDGET accepted steps.
-    _loop picks the loop from the attributes of rhs and observe.
+    above that ends in IntegrationError("step budget exhausted") past its
+    budget of accepted steps: _RKF45_BUDGET, or fewer where the samples
+    kept at ``stride`` would hold more than _FLOATS_PER_FLOW floats.  _loop
+    picks the loop from the attributes of rhs and observe.
     """
     z = [float(v) for v in z0]
     observe(0.0, z)
     loop, args = _loop(_rkf45_loop, rhs, len(z), observe)
-    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, args)
+    budget = min(_RKF45_BUDGET, stride * (_FLOATS_PER_FLOW // len(z)))
+    return loop(rhs, z, t_final, min(1e-2, t_final), rel_tol, abs_tol, stride, budget, args)
 
 
 def _make_observer(jet: ex.JetEvaluator):

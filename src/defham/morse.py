@@ -311,21 +311,6 @@ class _System:
             angles[...] = (angles + math.pi) % TWO_PI - math.pi
         return d
 
-    def _outside(self, margin: float, pattern: str) -> str:
-        """Source testing that a bounded coordinate (``pattern`` names axis i,
-        e.g. ``u[{}]``) is more than margin outside the box, lo - margin and
-        hi + margin folded into constants; a nan is inside; "" if none is bounded."""
-        return " or ".join(
-            f"{pattern.format(axis)} < {lo - margin!r} or {pattern.format(axis)} > {hi + margin!r}"
-            for axis, lo, hi in self.bounded_axes
-        )
-
-    def _box_test(self, margin: float) -> Callable[[Sequence[float]], bool]:
-        """u -> False when a bounded coordinate of u lies more than margin
-        outside the box, generated (_outside)."""
-        outside = self._outside(margin, "u[{}]") or "False"
-        return ex.define(f"def in_box(u):\n    return not ({outside})\n", "in_box", __name__)
-
     def watch(self, count: int, keep_states: bool) -> tuple:
         """(source, make), generated once per (count, keep_states): the shot
         watch for ``count`` targets as a watch source (dynamics._loop), and
@@ -335,8 +320,10 @@ class _System:
         Per step: shot.last_state = z (and z joins shot.states if kept); per
         target, in order, sq is the sum of distance's squares; a sum below
         the least one so far replaces it in lows and, if its root is below
-        delta, sets the capture and raises stop.  Last, a state more than 0.5
-        outside the box sets "escaped" and raises stop.
+        delta, sets the capture and raises stop.  Last, a state that
+        in_box(z, 0.5) rejects sets "escaped" and raises stop: the test is
+        written inline from bounded_axes, lo - 0.5 and hi + 0.5 folded into
+        constants.
         """
         key = (count, keep_states)
         if key in self._watches:
@@ -360,7 +347,8 @@ class _System:
                 f"        shot.outcome, shot.target = 'captured', {k}",
                 "        raise stop",
             ]
-        outside = self._outside(0.5, "z_{}")
+        outside = " or ".join(f"z_{axis} < {lo - 0.5!r} or z_{axis} > {hi + 0.5!r}"
+                              for axis, lo, hi in self.bounded_axes)
         if outside:
             body += [f"if {outside}:", "    shot.outcome = 'escaped'", "    raise stop"]
         source = ("\n".join(setup), "\n".join(body))
@@ -372,15 +360,12 @@ class _System:
         watch = self._watches[key] = source, ex.define("\n".join(lines) + "\n", "make", __name__)
         return watch
 
-    @functools.cached_property
-    def in_box(self) -> Callable[[Sequence[float]], bool]:
-        """The box test of the shots (the watch inlines it): margin 0.5."""
-        return self._box_test(0.5)
-
-    @functools.cached_property
-    def in_search_box(self) -> Callable[[Sequence[float]], bool]:
-        """The box test of Newton's points: margin 1e-6."""
-        return self._box_test(1e-6)
+    def in_box(self, u: Sequence[float], margin: float) -> bool:
+        """False when a bounded coordinate of u lies more than margin outside
+        the box; a nan is inside.  Newton's points take margin 1e-6; the shot
+        watch writes the test of margin 0.5 inline."""
+        return not any(u[axis] < lo - margin or u[axis] > hi + margin
+                       for axis, lo, hi in self.bounded_axes)
 
     def phase_point(self, u: np.ndarray) -> PhasePoint:
         z = np.zeros(2 * self.spec.n)  # y = 0 in base-only mode
@@ -481,7 +466,7 @@ def find_critical_points(
             if u is None:
                 continue
             u = system.wrap_coords(u)
-            if not system.in_search_box(u):
+            if not system.in_box(u, 1e-6):
                 continue
             point = u.tolist()
             if any(system.distance(point, v) <= options.dedupe_distance for v in kept):

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,7 @@ from defham.cli import (
     EXIT_PASS,
     ScenarioError,
     _KIND_SCHEMAS,
-    _flow_spec,
     _schema_errors,
-    _z0,
     main,
     run_scenario,
     validate_scenario,
@@ -610,26 +609,27 @@ class TestSweepChecks:
         assert run_scenario(write_doc(tmp_path, doc), tmp_path) == EXIT_PASS
         header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert header == "q,final_H,symplectic_defect,error"
-        hamiltonian = ex.parse(doc["hamiltonian"], doc["n"])
+        parsed = validate_scenario(doc)
         assert [float(row.split(",")[0]) for row in rows] == sorted(doc["q_list"])
         for row in rows:
             q, final_h, defect, error = row.split(",")
-            spec = _flow_spec(doc, hamiltonian, float(q))
+            spec = replace(parsed["flow"], q=float(q))
             want_defect = max(
-                d for _, d in dyn.pullback_defect(dyn.integrate_variational(spec, _z0(doc)))
+                d for _, d in dyn.pullback_defect(dyn.integrate_variational(spec, parsed["z0"]))
             )
-            assert float(final_h) == dyn.integrate(spec, _z0(doc)).energies[-1]
+            assert float(final_h) == dyn.integrate(spec, parsed["z0"]).energies[-1]
             assert float(defect) == want_defect
             assert error == ""
 
     def test_golden_counts_equal_the_float64_check(self):
         doc = json.loads((SCENARIOS / "regime_trichotomy.json").read_text())
         tol = doc["checks"][0]["tol"]
+        parsed = validate_scenario(doc)
         for q in doc["q_list"]:
             if q == 1:
                 continue
-            spec = _flow_spec(doc, ex.parse(doc["hamiltonian"], doc["n"]), q)
-            trajectory = dyn.integrate(spec, _z0(doc))
+            spec = replace(parsed["flow"], q=q)
+            trajectory = dyn.integrate(spec, parsed["z0"])
             violations, coupled = _reference_regime_violations(spec, trajectory, tol)
             assert coupled > 1000  # x1 y1 > 0 on part of each turn
             assert dyn.regime_violations(spec, trajectory, tol) == violations == 0
@@ -807,6 +807,33 @@ class TestParseOnce:
         run_scenario(SCENARIOS / "morse_s1.json", tmp_path / "b")
         assert sorted(texts) == sorted([circle["f"], *circle["w"], circle["g"]])
         assert qs == circle["q_list"]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["oscillator_energy", "pendulum_symplectic", "conformal_flow", "nonsimple_defect",
+         "regime_trichotomy"],
+    )
+    def test_run_integrates_the_flow_that_validate_built(self, tmp_path, monkeypatch, name):
+        # every flow of the run is validate_scenario's flow and start, at the
+        # scenario's q or at each q of a sweep, once per kind of flow
+        calls = {"integrate": [], "integrate_variational": []}
+        for kind, seen in calls.items():
+            integrate = getattr(dyn, kind)
+            monkeypatch.setattr(
+                dyn, kind,
+                lambda spec, z0, seen=seen, integrate=integrate:
+                    seen.append((spec, z0)) or integrate(spec, z0),
+            )
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        parsed = validate_scenario(doc)
+        assert run_scenario(SCENARIOS / f"{name}.json", tmp_path) == EXIT_PASS
+        qs = doc["q_list"] if doc["kind"] == "sweep" else [doc["q"]]
+        assert any(calls.values())
+        for seen in calls.values():
+            assert [spec.q for spec, _ in seen] in ([], qs)
+            for spec, z0 in seen:
+                assert z0 == parsed["z0"]
+                assert spec == replace(parsed["flow"], q=spec.q)
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ import math
 import sys
 import types
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from defham import dynamics, morse
 from defham import expr as ex
-from defham.cli import _run_sweep
+from defham.cli import _run_sweep, validate_scenario
 from defham.dynamics import (
     FlowSpec,
     HamiltonianField,
@@ -455,6 +456,26 @@ class TestRKF45Attempts:
         assert repeats == ref_calls // 6 - accepted == 10
 
 
+class TestRKF45Budget:
+    def test_stored_floats_cut_the_step_budget(self, monkeypatch):
+        # a variational state at n = 1 holds 6 floats, so a bound of 600
+        # stored floats leaves 100 accepted steps at stride 1 and 1,000 at
+        # stride 10; the step past the budget raises at the time that an
+        # unbounded path reaches with it
+        spec = FlowSpec(ex.parse("(x1^2 + y1^2)/2", 1), 1, 0.5, integrator="rkf45",
+                        t_final=30.0)
+        z0 = PhasePoint((1.0,), (0.0,))
+        ts = integrate_variational(spec, z0).trajectory.ts
+        assert len(ts) > 1001
+        monkeypatch.setattr(dynamics, "_FLOATS_PER_FLOW", 600)
+        for stride, accepted in ((1, 100), (10, 1000)):
+            bounded = replace(spec, t_final=1000.0, sample_stride=stride)
+            with pytest.raises(IntegrationError, match="^step budget exhausted") as err:
+                integrate_variational(bounded, z0)
+            assert err.value.t == ts[accepted + 1]
+        assert f"{ts[101]:.6g}" == "2.08659"
+
+
 def _observed(path, rhs, z0, *args):
     """The (t, state bytes) samples a path observes, its IntegrationError as
     (message, t, type of its cause) or None, and the bytes of the state it
@@ -863,11 +884,11 @@ class TestRK4Kernel:
 
         monkeypatch.setattr(dynamics, "rk4_path", counting)
         doc = {
-            "n": 1, "q_list": [2.0, 1.0, 0.5], "hamiltonian": OSC, "z0": [1.0, 2.0],
-            "t_final": 0.5, "integrator": {"type": "rk4", "step": 0.01},
+            "kind": "sweep", "n": 1, "q_list": [2.0, 1.0, 0.5], "hamiltonian": OSC,
+            "z0": [1.0, 2.0], "t_final": 0.5, "integrator": {"type": "rk4", "step": 0.01},
             "observables": ["delta_H"], "checks": [{"type": "regime_trichotomy"}],
         }
-        checks, _ = _run_sweep(doc, {"hamiltonian": ex.parse(OSC, 1)})
+        checks, _ = _run_sweep(doc, validate_scenario(doc))
         assert checks.records == [
             {"name": "regime_trichotomy_violations", "measured": 0, "threshold": 0, "pass": True}
         ]

@@ -397,7 +397,7 @@ def _reference_shoot(system, start, targets, rel_tol, abs_tol, keep_states=False
                 result.outcome = "captured"
                 result.target = idx
                 raise _Stop
-        if not system.in_box(z):
+        if not system.in_box(z, 0.5):
             result.outcome = "escaped"
             raise _Stop
 
@@ -580,7 +580,7 @@ class TestFusedWatch:
             got = morse._shoot(system, start, targets, 1e-9, 1e-11, keep)
             want = _generic_shoot(morse._shoot, system, start, targets, 1e-9, 1e-11, keep)
             assert got.outcome == want.outcome == "blew_up"
-            assert got.last_state == want.last_state and system.in_box(got.last_state)
+            assert got.last_state == want.last_state and system.in_box(got.last_state, 0.5)
             assert _shot_hash(start, got) == _shot_hash(start, want)
 
     def test_blow_up_in_the_box_is_its_own_fate(self):
@@ -611,18 +611,17 @@ class TestFusedWatch:
                 states = [[0.5] * 4, inside, outside, [0.5] * 4]
                 shot = _replayed_shot(monkeypatch, system, [np.zeros(4)], states)
                 assert (shot.outcome, shot.last_state) == ("escaped", outside)
-                assert system.in_box(inside) and not system.in_box(outside)
+                assert system.in_box(inside, 0.5) and not system.in_box(outside, 0.5)
 
 
 class TestBoxTest:
-    @pytest.mark.parametrize("name, margin", [("in_box", 0.5), ("in_search_box", 1e-6)])
-    def test_folded_bounds_are_the_doubles_of_the_rule(self, name, margin):
+    @pytest.mark.parametrize("margin", [0.5, 1e-6])
+    def test_folded_bounds_are_the_doubles_of_the_rule(self, margin):
         # the shots' margin 0.5 and Newton's 1e-6, folded into constants:
         # a coordinate at lo - margin or hi + margin is inside, one ulp
         # beyond is outside, and a nan coordinate counts as inside
         box = [(-2.0, 2.0), (-0.3, 0.7), (-1.1, 1.3), (0.1, 2.9)]
         system = _System(circle_spec(), MorseOptions(search_box=box))
-        test = getattr(system, name)
         assert len(system.bounded_axes) == 4
         for axis, lo, hi in system.bounded_axes:
             for edge, beyond in ((lo - margin, -math.inf), (hi + margin, math.inf)):
@@ -630,12 +629,13 @@ class TestBoxTest:
                 for value, inside in ((edge, True), (math.nextafter(edge, beyond), False),
                                       (math.nan, True)):
                     u[axis] = value
-                    assert test(u) is inside and bool(test(np.array(u))) is inside
+                    assert system.in_box(u, margin) is inside
+                    assert bool(system.in_box(np.array(u), margin)) is inside
 
     def test_torus_angles_are_unbounded(self):
         system = _System(torus_spec(), MorseOptions())
         assert system.bounded_axes == []
-        assert system.in_box([100.0, -100.0]) and system.in_search_box([100.0, -100.0])
+        assert system.in_box([100.0, -100.0], 0.5) and system.in_box([100.0, -100.0], 1e-6)
 
 
 class TestRhsCounting:
