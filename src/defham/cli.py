@@ -357,6 +357,26 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
             yield path, f"{value!r} {message}"
 
 
+def _non_finite_number(doc):
+    """The (path, value) of the first number in ``doc``, objects and arrays
+    read in order, with no finite float; None if there is none."""
+    stack = [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            stack += reversed([((*path, k), v) for k, v in value.items()])
+        elif isinstance(value, list):
+            stack += reversed([((*path, i), v) for i, v in enumerate(value)])
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the floats
+                finite = False
+            if not finite:
+                return path, value
+    return None
+
+
 def validate_scenario(doc) -> dict:
     """Check a scenario and return the inputs ``run`` executes: the trees of
     ``hamiltonian``, ``f``, ``w`` and ``g``, the ``poly`` of a classify
@@ -367,6 +387,10 @@ def validate_scenario(doc) -> dict:
     Raises ScenarioError (with JSON-pointer paths) if the scenario is bad."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
+    bad = _non_finite_number(doc)
+    if bad is not None:  # as _load_scenario's parser rejects them
+        path, value = bad
+        raise ScenarioError(f"/{'/'.join(map(str, path))}: number {value!r} is not a finite float")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_SCHEMAS:
         raise ScenarioError(

@@ -392,18 +392,28 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
         y = z + h * sum(c * k for c, k in zip(row, ks))
         err = sqrt(mean(((z5 - z4) / (abs_tol + rel_tol * max(|z|, |z5|)))**2)),
 
-    so on Python floats it rounds exactly as float64 arrays do: stage sums
-    run left to right from ``0.0 + c0*k0`` (zero coefficients included) and
-    the mean squares are summed in numpy's order; ``min`` and ``max`` are
-    comparisons that pick the same operand, nan included.  |z_i| is a_i,
-    the |y_i| of the step that made z (z_i is y_i there), and |t| is t (t
-    starts at +0.0 and only adds positive steps): same bits, fewer calls.  A stage
-    whose rhs raises OverflowError, ZeroDivisionError or ValueError is set
-    to nan, as inf or nan would spread through the array form.  The first
-    stage of an attempt gets the state list itself, which a rejected attempt
-    reuses; an accepted step makes a new list.  Past ``budget`` accepted
-    steps the path raises IntegrationError.  Given the rhs's terms the
-    stages are fused (_stage) and the loop never calls its rhs.
+    so on Python floats it takes the same steps to the same states as
+    float64 arrays do.  The sums run left to right from their first term:
+    they leave out the ``0 +`` that sum starts from, the zero weight of k1
+    in y and that of k5 in w; w keeps ``0.0 * k1``.  Those terms change at
+    most the sign of a zero sum, which shows only where the sum is added to
+    a component -0.0.  The prologue ``z_i += 0.0`` makes each such
+    component +0.0, as the array form's first step does (save where h times
+    a sum underflows to -0.0 there), and no later state is -0.0, since x + y
+    is -0.0 only where x and y both are.  A non-finite k5 still makes y
+    non-finite through its weight 2/55, and a non-finite k1 makes w so
+    through ``0.0 * k1``; err is then nan, as in the array form, and the
+    step is quartered.  The mean squares are summed in numpy's order;
+    ``min`` and ``max`` are comparisons that pick the same operand, nan
+    included.  |z_i| is a_i, the |y_i| of the step that made z (z_i is y_i
+    there), and |t| is t (t starts at +0.0 and only adds positive steps):
+    same bits, fewer calls.  A stage whose rhs raises OverflowError,
+    ZeroDivisionError or ValueError is set to nan, as inf or nan would
+    spread through the array form.  The first stage of an attempt gets the
+    state list itself, which a rejected attempt reuses; an accepted step
+    makes a new list.  Past ``budget`` accepted steps the path raises
+    IntegrationError.  Given the rhs's terms the stages are fused (_stage)
+    and the loop never calls its rhs.
 
     The watch source (see _loop) runs on the watch's args, the last
     argument: setup once, body at every sample.  body must not assign the
@@ -413,11 +423,10 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
 
-    def combination(row, i):
-        total = "0.0"
-        for j, c in enumerate(row):
-            total = f"({total} + {c!r} * k{j}_{i})"
-        return f"z_{i} + h * {total}"
+    def combination(row, i, keep=()):
+        # the terms of nonzero weight, and those of zero weight in keep
+        parts = [f"{c!r} * k{j}_{i}" for j, c in enumerate(row) if c or j in keep]
+        return f"z_{i} + h * ({' + '.join(parts)})"
 
     def stage(j, args):
         ks = zs.replace("z_", f"k{j}_")
@@ -432,6 +441,7 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
         "def loop(rhs, z, t_final, h, rel_tol, abs_tol, stride, budget, watch):",
         *("    " + line for line in watch[0].splitlines()),
         f"    {zs}, = z",
+        *(f"    z_{i} += 0.0" for i in comps),
         *(f"    a_{i} = abs(z_{i})" for i in comps),
         "    t, accepted = 0.0, 0",
         "    while t < t_final:",
@@ -443,8 +453,8 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     lines += stage(0, None)
     for j, row in enumerate(_RKF_A[1:], start=1):
         lines += stage(j, [combination(row, i) for i in comps])
-    for name, row in (("y", _RKF_B5), ("w", _RKF_B4)):
-        lines += [f"        {name}_{i} = {combination(row, i)}" for i in comps]
+    for name, row, keep in (("y", _RKF_B5, ()), ("w", _RKF_B4, (1,))):
+        lines += [f"        {name}_{i} = {combination(row, i, keep)}" for i in comps]
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
         lines += [f"        b_{i} = abs(y_{i})",
                   f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a_{i} if a_{i} >= b_{i} else b_{i}))"]

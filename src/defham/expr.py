@@ -461,12 +461,68 @@ def _wrap(e: Node, minimum: int, names: Optional[Sequence[str]]) -> str:
     return f"({s})" if _prec(e) < minimum else s
 
 
+_FLOAT_MIN = 2.0 ** -1022  # the least normal float
+_SCALINGS = (Mul, Div)
+
+
+def _power_of_two(v: Fraction) -> bool:
+    """Whether v is ±2^k for an integer k."""
+    p, q = abs(v._numerator), v._denominator
+    return p > 0 and not (p & (p - 1) or q & (q - 1))
+
+
+def _has_float(v: Fraction) -> bool:
+    """Whether float(v) is finite."""
+    try:
+        v._numerator / v._denominator
+    except OverflowError:
+        return False
+    return True
+
+
+def _folded(e: Node, names: Sequence[str]) -> Optional[str]:
+    """The source ``c*core`` (``core`` if c = 1) of the chain headed by the
+    Mul or Div ``e``; None where the chain has one node or is not folded
+    (see to_text)."""
+    factors, divisors, core = [], [], e
+    while True:  # node types only, before any Fraction arithmetic
+        t = type(core)
+        if t is Mul and type(core.a) is Const:
+            factors.append(core.a.value)
+            core = core.b
+        elif t is Mul and type(core.b) is Const:
+            factors.append(core.b.value)
+            core = core.a
+        elif t is Div and type(core.b) is Const:
+            divisors.append(core.b.value)
+            core = core.a
+        else:
+            break
+    if len(factors) + len(divisors) < 2:
+        return None
+    exact = (all(map(_power_of_two, divisors))
+             and sum(not _power_of_two(v) for v in factors) <= 1)
+    if not exact and all(map(_has_float, factors + divisors)):
+        return None
+    try:
+        c = math.prod(factors, start=_ONE) / math.prod(divisors, start=_ONE)
+        f = c._numerator / c._denominator
+    except (OverflowError, ZeroDivisionError):  # no finite float; a raw divisor 0
+        return None
+    if not abs(f) >= _FLOAT_MIN:  # 0.0 or subnormal
+        return None
+    if c == _ONE:
+        return _wrap(core, _PREC_MUL, names)
+    return f"{f!r}*{_wrap(core, _PREC_MUL + 1, names)}"
+
+
 def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
     """The text of ``e``; given ``names``, the Python source of its value,
     which differs in writing the coordinate of index i (x1..xn, then
     y1..yn, from 0) as ``names[i]``, ``^`` as ``**`` (Python's ``**`` and
-    unary ``-`` bind as ``^`` and ``-`` do here) and a constant c as the
-    float literal ``repr(float(c))`` where float(c) is finite.
+    unary ``-`` bind as ``^`` and ``-`` do here), a constant c as the
+    float literal ``repr(float(c))`` where float(c) is finite, and some
+    chains of constant scalings as one.
 
     The literal is the double Python made of the exact text: the
     constructors fold every constant-constant node, so a printed constant
@@ -474,10 +530,30 @@ def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
     whole entry, and Python converts an int operand and divides two ints
     with correct rounding.  The generated code then does float arithmetic
     only.  A constant with no finite float keeps its exact text, and Python
-    raises OverflowError where it converts that to a float."""
+    raises OverflowError where it converts that to a float.
+
+    A chain is a run of two or more Mul and Div nodes, each by a constant,
+    around one core expression.  Given ``names`` it prints as ``c*core``
+    (``core`` if c = 1), c the product of its factors over that of its
+    divisors, computed exactly, where float(c) is normal and either (1)
+    every divisor is ±2^k and at most one constant is not, or (2) a
+    constant has no finite float.  In case 1 the value keeps its bits, as a
+    scaling by ±2^k is exact and commutes with rounding; the exception is
+    where an intermediate of the chain overflows (inf there) or is
+    subnormal, or the float of a constant is (bits lost there).  In case 2
+    the chain raised OverflowError at every point.  Other chains keep their
+    nodes, since e.g. (3*x)*5 and 15*x may round apart.  The fold reads node
+    types before any Fraction arithmetic, so a tree with no chain pays a
+    few type tests per node that scales by a constant."""
     t = type(e)  # kinds by their count in derivatives
     if t is Mul:
-        return f"{_wrap(e.a, _PREC_MUL, names)}*{_wrap(e.b, _PREC_MUL + 1, names)}"
+        a, b = e.a, e.b
+        if names is not None and (type(a) is Const and type(b) in _SCALINGS
+                                  or type(b) is Const and type(a) in _SCALINGS):
+            s = _folded(e, names)  # e may head a chain
+            if s is not None:
+                return s
+        return f"{_wrap(a, _PREC_MUL, names)}*{_wrap(b, _PREC_MUL + 1, names)}"
     if t is Var:
         if names is not None:
             return names[(0 if e.kind == "x" else e.n) + e.index - 1]
@@ -499,6 +575,10 @@ def to_text(e: Node, names: Optional[Sequence[str]] = None) -> str:
     if t is Pow:
         return f"{_wrap(e.base, _PREC_ATOM, names)}{'^' if names is None else '**'}{e.exponent}"
     if t is Div:
+        if names is not None and type(e.b) is Const and type(e.a) in _SCALINGS:
+            s = _folded(e, names)
+            if s is not None:
+                return s
         return f"{_wrap(e.a, _PREC_MUL, names)}/{_wrap(e.b, _PREC_MUL + 1, names)}"
     if t is Call:
         return f"{e.func}({to_text(e.arg, names)})"

@@ -177,6 +177,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.count("is not a finite float") == 2 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("pointer", ["/t_final", "/q", "/integrator/rel_tol", "/z0/0"])
+    def test_in_process_non_finite_number_is_a_scenario_error(self, pointer, value):
+        # a document built in process can hold what json would not load:
+        # validate_scenario reports it as _load_scenario does, at its pointer
+        doc = {
+            "kind": "simulate", "name": "x", "n": 1, "q": 1.0,
+            "hamiltonian": "(x1^2 + y1^2)/2", "z0": [1.0, 0.0], "t_final": 1.0,
+            "integrator": {"type": "rkf45", "rel_tol": 1e-9, "abs_tol": 1e-11}, "output": "t.csv",
+        }
+        *parents, last = pointer[1:].split("/")
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[int(last) if isinstance(holder, list) else last] = value
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(doc)
+        assert str(err.value) == f"{pointer}: number {value!r} is not a finite float"
+
 
 GOLDEN_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
 SCHEMA_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems", "items",
@@ -321,6 +340,19 @@ class TestSchemaValidator:
 
 
 class TestRun:
+    @pytest.mark.parametrize("integrator", [{"type": "rk4", "step": 0.01},
+                                            {"type": "rkf45", "rel_tol": 1e-9, "abs_tol": 1e-11}])
+    def test_constant_with_no_float_in_a_chain_runs(self, tmp_path, integrator):
+        # d/dx1 of exp(x1)/10^300 is exp(x1)*10^300/10^600, and 10^600 has no
+        # float; folded to 1e-300*exp(x1), the field is finite where it raised
+        doc = {"kind": "simulate", "name": "tiny exponential", "n": 1, "q": 1.0,
+               "hamiltonian": "y1 + exp(x1)/10^300", "z0": [0.5, 0.0], "t_final": 1.0,
+               "integrator": integrator, "output": "t.csv",
+               "checks": [{"name": "drift", "measure": "energy_drift", "threshold": 1e-12}]}
+        assert run_scenario(write_doc(tmp_path, doc), tmp_path) == EXIT_PASS
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows[0] == "t,x1,y1,H" and float(rows[-1].split(",")[1]) == pytest.approx(1.5)
+
     def test_passing_scenario_exits_zero(self, tmp_path):
         path = write_doc(tmp_path, classify_doc())
         assert run_scenario(path, tmp_path) == EXIT_PASS

@@ -393,6 +393,49 @@ class TestRKF45Kernel:
             assert t == t_ref
             assert np.concatenate([z, d.ravel()]).tobytes() == s_ref.tobytes()
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_negative_zero_start_is_bit_identical(self, q):
+        # [DERIVED] H never reads x2, so y2' = -1.0 * (0.0) is -0.0 at every
+        # stage and x2' = y2/q a zero: the zero signs of the trimmed sums,
+        # which the array form's start at 0 and keep every zero weight
+        field = HamiltonianField(ex.parse("y1^2/2 + y2^2/2 + (1 - cos(x1))", 2), q)
+        z0 = [0.7, -0.0, 0.3, -0.0]
+        expected = [(t, z.tobytes()) for t, z in
+                    _reference_rkf45(field.field, z0, 2.0, 1e-10, 1e-12)]
+        fused, generic = _fused_and_generic(rkf45_path, field.compiled_field, z0,
+                                            2.0, 1e-10, 1e-12, 1)
+        assert len(expected) > 20
+        assert fused == generic == (expected, None, expected[-1][1])
+
+    def test_negative_zero_sums_meet_the_prologue(self):
+        # [DERIVED] the second entry is +0.0 at stage 4, which y and w weigh
+        # by -9/50 and -1/5, and -0.0 at the others: every term of their
+        # trimmed sums is -0.0, so each sum is.  Added to the start's -0.0
+        # it would stay -0.0; the array form's sum from 0 gives +0.0, and
+        # the prologue z_i += 0.0 does too
+        got, want = _staged_against_reference(
+            lambda z, attempt, j: [1.0, 0.0 if j == 4 else -0.0], [0.0, -0.0], 1.0, 1e-9, 1e-11)
+        assert got == want
+        assert [math.copysign(1.0, np.frombuffer(z)[1]) for _, z in got[0][1:3]] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("stage", [1, 5])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_stage_is_rejected_as_in_the_array_form(self, stage, bad):
+        # [DERIVED] at stage 1 or 5 of every third attempt the second entry
+        # is non-finite, and no stage reads the second component: only the
+        # sums of y and w see it, through w's kept 0.0 * k1 (k1 has zero
+        # weight in y) or y's 2/55 * k5 (k5 has zero weight in w)
+        def entries(z, attempt, j):
+            out = [math.cos(z[0]), -math.sin(z[0])]
+            if j == stage and attempt % 3 == 0:
+                out[1] = bad
+            return out
+
+        got, want = _staged_against_reference(entries, [0.5, 1.0], 3.0, 1e-9, 1e-11)
+        assert got == want
+        rejected = got[1] // 6 - (len(got[0]) - 1)
+        assert len(got[0]) > 20 and rejected >= got[1] // 18
+
     @pytest.mark.parametrize(
         "text, z0, error",
         [
@@ -419,6 +462,30 @@ class TestRKF45Kernel:
         with pytest.raises(IntegrationError, match="step size underflow"):
             rkf45_path(rhs, z0, 1.0, 1e-9, 1e-11, 1, lambda t, z: None)
         assert raised and set(raised) == {error}
+
+
+def _staged(entries):
+    """An rhs ``z -> entries(z, attempt, j)``, its calls counted from 0 in
+    attempts of 6 and j the stage of the call; ``rhs.calls`` is the count."""
+    def rhs(z):
+        attempt, j = divmod(rhs.calls, 6)
+        rhs.calls += 1
+        return entries(z, attempt, j)
+
+    rhs.calls = 0
+    return rhs
+
+
+def _staged_against_reference(entries, z0, *args):
+    """(samples as (t, state bytes), rhs calls, final state bytes) of
+    rkf45_path and of _reference_rkf45, each on its own _staged(entries)."""
+    rhs, ref = _staged(entries), _staged(entries)
+    seen = []
+    z = rkf45_path(rhs, z0, *args, 1, lambda t, z: seen.append((t, np.array(z).tobytes())))
+    with np.errstate(all="ignore"):  # inf * 0.0 in the array form
+        expected = [(t, z.tobytes()) for t, z in
+                    _reference_rkf45(lambda z: np.array(ref(z)), z0, *args)]
+    return (seen, rhs.calls, np.array(z).tobytes()), (expected, ref.calls, expected[-1][1])
 
 
 class TestRKF45Attempts:
@@ -578,7 +645,8 @@ class TestFusedLoop:
     @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
     def test_integer_constant_derivative_keeps_its_sign(self, integrator):
         # dH/dx1 = 0 compiles to -1.0 * (0.0), which is -0.0; RK4's update adds
-        # it to y1 = -0.0, so y1 stays -0.0 (RKF45's stage sums start at 0.0)
+        # it to y1 = -0.0, so y1 stays -0.0 (RKF45's prologue z_i += 0.0 makes
+        # it +0.0, as the first step of its array form does)
         rhs = HamiltonianField(ex.parse("y1^2/2 + 3*y1", 1), 0.5).compiled_field
         z0 = [0.25, -0.0]
         if integrator == "rk4":

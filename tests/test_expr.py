@@ -788,6 +788,101 @@ class TestPrinter:
             assert _bits(f, z) == _bits(old, z)
 
 
+_POWERS_OF_TWO = st.builds(lambda sign, k: sign * Fraction(2) ** k,
+                           st.sampled_from([1, -1]), st.integers(-60, 60))
+_ORDINARY = st.sampled_from([Fraction(3), Fraction(-5), Fraction(7, 3), Fraction(1, 10),
+                             Fraction(-2, 3), Fraction(10**20), Fraction(1, 3**30)])
+_CHAIN_CORES = ["x1", "sin(x2)", "x1*y1 + 1", "exp(y2)/3", "(x1 - y2)^2"]
+
+
+def _chain(core, links):
+    """The raw chain of Mul and Div nodes by the constants of ``links``
+    ((side, c): c*e for "l", e*c for "r", e/c for "d") around the parsed
+    ``core``, and its nodes from the outermost to the core."""
+    nodes = [ex.parse(core, N_RANDOM)]
+    for side, c in links:
+        k, e = ex.Const(N_RANDOM, c), nodes[0]
+        nodes.insert(0, ex.Mul(N_RANDOM, k, e) if side == "l" else
+                     ex.Mul(N_RANDOM, e, k) if side == "r" else ex.Div(N_RANDOM, e, k))
+    return nodes
+
+
+CHAINS = st.builds(_chain, st.sampled_from(_CHAIN_CORES), st.lists(
+    st.tuples(st.sampled_from("lrd"), st.one_of(_POWERS_OF_TWO, _ORDINARY)),
+    min_size=1, max_size=5))
+
+
+def _source(e, names=ex.coordinate_names("z[{}]", N_RANDOM)):
+    return ex.to_text(e, names)
+
+
+class TestChainFold:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(CHAINS, RANDOM_POINTS)
+    @example(_chain("x1", [("r", Fraction(2)), ("r", Fraction(2)), ("d", Fraction(4))]),
+             [0.3, 0.0, 0.0, 0.0])
+    @example(_chain("y2", [("l", Fraction(1, 10)), ("d", Fraction(-8)), ("l", Fraction(2**40))]),
+             [0.0, 0.0, 0.0, -1.7])
+    def test_folded_source_keeps_the_bits_of_the_unfolded_source(self, nodes, z):
+        # [DERIVED] scaling by +-2^k is exact, so wherever no intermediate
+        # overflows or is subnormal the folded c*core rounds as the chain
+        unfolded = [ex.define(f"def _f(z):\n    return {_codegen(e)}\n", "_f", __name__)
+                    for e in nodes]
+        values = [f(z) for f in unfolded]
+        assume(all(math.isfinite(v) and (v == 0 or abs(v) >= sys.float_info.min)
+                   for v in values))
+        folded = ex.compile_scalar(nodes[0])
+        assert struct.pack("<d", folded(z)) == struct.pack("<d", values[0])
+
+    @pytest.mark.parametrize("text, source", [
+        ("x1*2*2/4", "z[0]"),
+        ("3*(x1/4)", "0.75*z[0]"),
+        ("x1/2*3", "1.5*z[0]"),
+        ("-2*(y1/8)", "-0.25*z[2]"),
+        ("(x1 + y1)*2/2", "(z[0] + z[2])"),
+        ("x2*y2*4/2", "2.0*(z[1]*z[3])"),
+        # two constants that are not +-2^k, or a divisor that is not
+        ("3*(5*x1)", "3.0*(5.0*z[0])"),
+        ("x1*2/3", "z[0]*2.0/3.0"),
+        ("x1*3/2*5", "1.5*z[0]*5.0"),  # the inner chain x1*3/2 folds
+        ("x1/4/3", "z[0]/4.0/3.0"),
+        # a one-node chain, and scalings apart from one another
+        ("x1/2", "z[0]/2.0"),
+        ("2*sin(x1/2)", "2.0*sin(z[0]/2.0)"),
+        ("2*-(x1*2)", "2.0*-(z[0]*2.0)"),
+    ])
+    def test_which_chains_fold(self, text, source):
+        e = ex.parse(text, N_RANDOM)
+        assert _source(e) == source
+        assert ex.to_text(e) == ex.to_text(ex.parse(ex.to_text(e), N_RANDOM))  # trees unchanged
+
+    def test_oscillator_gradient_is_the_coordinates(self):
+        # the quotient rule gives d/dx1 (x1^2 + y1^2)/2 = (2*x1)*2/4
+        e = ex.parse("(x1^2 + y1^2)/2", 1)
+        names = ex.coordinate_names("z[{}]", 1)
+        assert [ex.to_text(ex.differentiate(e, v), names) for v in (("x", 1), ("y", 1))] == \
+            ["z[0]", "z[1]"]
+        assert ex.to_text(ex.differentiate(e, ("x", 1))) == "2*x1*2/4"
+
+    @pytest.mark.parametrize("x1", [-3.0, 0.0, 0.5, 2.0, 700.0])
+    def test_constants_with_no_float_fold_to_a_finite_one(self, x1):
+        # d/dx1 exp(x1)/10^300 is exp(x1)*10^300/10^600: 10^600 has no
+        # float, so the unfolded gradient raised OverflowError at every point
+        jet = ex.JetEvaluator(ex.parse("y1 + exp(x1)/10^300", 1))
+        assert _source(jet.derivatives[0], ex.coordinate_names("z_{}", 1)) == "1e-300*exp(z_0)"
+        gradient = jet.gradient([x1, 1.0])
+        want = float(Fraction(1, 10**300)) * math.exp(x1)
+        assert struct.pack("<dd", *gradient) == struct.pack("<dd", want, 1.0)
+
+    def test_a_fold_with_no_normal_float_keeps_the_chain(self):
+        # c = 10^-400 underflows, so the chain keeps its nodes and still raises
+        e = ex.parse("exp(x1)*10^400/10^800", 1)
+        assert _source(e, ex.coordinate_names("z_{}", 1)) == f"exp(z_0)*{10**400}/{10**800}"
+        with pytest.raises(OverflowError):
+            ex.compile_scalar(e)([0.0, 0.0])
+
+
 class TestOneExec:
     def test_exec_only_in_define_and_callbacks_name_their_module(self):
         # one exec site: the no-cycle pop and the module name live in expr.define
