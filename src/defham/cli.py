@@ -790,11 +790,13 @@ def _finite(parse):
 def _load_scenario(path: Path) -> tuple[dict, dict]:
     """Read and validate a scenario file for ``run`` and ``validate``: the
     document and what validate_scenario parsed from it.  Python's json reads
-    NaN, Infinity and 1e999, which raise ScenarioError here."""
+    NaN, Infinity and 1e999, which raise ScenarioError here.  A file that is
+    not UTF-8 text, or whose JSON nests past the recursion limit, cannot be
+    read."""
     try:
         doc = json.loads(path.read_text(), parse_float=_finite(float),
                          parse_int=_finite(int), parse_constant=_finite(float))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ScenarioError(f"cannot read scenario: {err}") from None
     return doc, validate_scenario(doc)
 

@@ -215,20 +215,50 @@ def energy_derivative_defect(hamiltonian: ex.Node, q: float, z: PhasePoint) -> f
 # torus reduction happens only when samples are stored.
 
 
-def _stage(ks: str, args: Optional[list], terms: Optional[tuple]) -> list:
+def _signed(terms: Optional[tuple], d: int) -> tuple[Optional[tuple], tuple]:
+    """The entries of a fused stage and, for each of the d components,
+    whether its stage values are stored negated, from the rhs's terms
+    ((c, e), ...): ``(c, e)``, c None for a bare entry.  An entry whose
+    tree is a Neg becomes ``-c`` times its operand, since c * (-x) rounds
+    as (-c) * x.  Then a unit scale is left out: 1.0 * x is x, and -1.0 * x
+    is -x, so the component keeps x and is marked negated, and the loop
+    folds the sign into the weights that read it.  These identities hold
+    in IEEE 754 save for the sign of a nan, which no path keeps: a nan
+    stage ends an RK4 step and makes RKF45's err nan.  A Const entry keeps
+    its scale: a constant with no finite float prints as an int, and
+    c * (int) raises OverflowError inside the stage's try, where the bare
+    int would raise only where the loop next uses it.  The constructors fold
+    every constant-constant node, so no other entry is an int.  No terms
+    (a generic loop): entries None and no component negated."""
+    if terms is None:
+        return None, (False,) * d
+    entries, negated = [], []
+    for c, e in terms:
+        while type(e) is ex.Neg:
+            c, e = -c, e.a
+        bare = abs(c) == 1.0 and type(e) is not ex.Const
+        entries.append((None if bare else c, e))
+        negated.append(bare and c < 0.0)
+    return tuple(entries), tuple(negated)
+
+
+def _stage(ks: str, args: Optional[list], entries: Optional[tuple]) -> list:
     """The lines that set the stage values ``ks`` (e.g. ``a_0, a_1``) from the
     rhs at the state (args None) or at the argument sources ``args``.
-    Generic: one call, ``rhs(z)`` on the state list or ``rhs([...])``.
-    Fused, given the rhs's terms: the arguments s_i, then each entry
-    ``c * (e)`` on them (or on z_i), inline: the floats of the call's
-    entries ``c * g[i]`` (expr.compile_scaled)."""
+    Generic (entries None): one call, ``rhs(z)`` on the state list or
+    ``rhs([...])``.  Fused, given the entries of _signed: the arguments s_i,
+    then each entry ``c * (e)``, or ``(e)`` for c None, on them (or on z_i),
+    inline: the floats of the call's entries ``c * g[i]``
+    (expr.compile_scaled), negated where _signed marks the component."""
     indent = "            "
-    if terms is None:
+    if entries is None:
         return [f"{indent}{ks}, = rhs({'z' if args is None else '[' + ', '.join(args) + ']'})"]
     lines = [] if args is None else [f"{indent}s_{i} = {a}" for i, a in enumerate(args)]
     pattern = "z_{}" if args is None else "s_{}"
-    return lines + [f"{indent}{k} = {c!r} * ({ex.to_text(e, ex.coordinate_names(pattern, e.n))})"
-                    for k, (c, e) in zip(ks.split(", "), terms)]
+    for k, (c, e) in zip(ks.split(", "), entries):
+        source = f"({ex.to_text(e, ex.coordinate_names(pattern, e.n))})"
+        lines.append(f"{indent}{k} = {source if c is None else f'{c!r} * {source}'}")
+    return lines
 
 
 @functools.lru_cache(maxsize=64)
@@ -245,6 +275,14 @@ def _rk4_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     calls its rhs and makes z only where a sample is due; the last step is
     one, so z is the final state.
 
+    A fused component that _signed marks negated holds -k_i at each stage,
+    and its lines carry the sign: stage arguments ``z_i - half*k_i`` and
+    ``z_i - h*k_i``, and the update ``z_i + sixth*(((-a_i - 2.0*b_i) -
+    2.0*c_i) - e_i)``.  Since x - y is x + (-y) and (-c)*x is -(c*x), in
+    IEEE 754 each operation gives the bits it gives on the unnegated stages,
+    signed zeros included; ``z_i - sixth*(...)`` would not, where z_i is
+    -0.0 and the slopes cancel exactly.
+
     The watch source (see _loop) runs on the watch's args, the last
     argument: setup once, body with t = k*h at every sample.  body must not
     assign the loop's names (its arguments, half, sixth, k, t, a_i, b_i,
@@ -252,10 +290,16 @@ def _rk4_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     """
     zs = ", ".join(f"z_{i}" for i in range(d))
     fused = terms is not None
+    entries, negated = _signed(terms, d)
+    signs = ["-" if minus else "+" for minus in negated]
 
     def stage(k, scale, prev):
-        args = [f"z_{i} + {scale} * {prev}_{i}" for i in range(d)] if prev else None
-        return _stage(zs.replace("z_", k + "_"), args, terms)
+        args = [f"z_{i} {signs[i]} {scale} * {prev}_{i}" for i in range(d)] if prev else None
+        return _stage(zs.replace("z_", k + "_"), args, entries)
+
+    def update(i):
+        s, lead = signs[i], "-" if negated[i] else ""
+        return f"z_{i} + sixth * ((({lead}a_{i} {s} 2.0 * b_{i}) {s} 2.0 * c_{i}) {s} e_{i})"
 
     lines = [
         "def loop(rhs, z, nsteps, h, stride, watch):",
@@ -271,8 +315,7 @@ def _rk4_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
         *stage("e", "h", "c"),
         "        except non_finite as err:",
         '            raise IntegrationError("solution blew up", k * h) from err',
-        *(f"        z_{i} = z_{i} + sixth * (((a_{i} + 2.0 * b_{i}) + 2.0 * c_{i}) + e_{i})"
-          for i in range(d)),
+        *(f"        z_{i} = {update(i)}" for i in range(d)),
         f"        if not ({' and '.join(f'z_{i} - z_{i} == 0.0' for i in range(d))}):",
         '            raise IntegrationError("solution blew up", k * h)',
         *([] if fused else [f"        z = [{zs}]"]),
@@ -415,6 +458,13 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     IntegrationError.  Given the rhs's terms the stages are fused (_stage)
     and the loop never calls its rhs.
 
+    A fused component that _signed marks negated holds -k_i at each stage,
+    so every weight that reads it, in the stage arguments and in y and w,
+    is written -c: term by term (-c)*(-k) is c*k in IEEE 754, signed zeros
+    included, so w's kept ``0.0 * k1`` becomes ``-0.0 * k1``.  The sum of
+    squares starts at its first term: a square is never -0.0, so the
+    ``0.0 +`` of numpy's order changes no bit.
+
     The watch source (see _loop) runs on the watch's args, the last
     argument: setup once, body at every sample.  body must not assign the
     loop's names (its arguments, budget among them, t, r, accepted, err,
@@ -422,17 +472,19 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     """
     comps = range(d)
     zs = ", ".join(f"z_{i}" for i in comps)
+    entries, negated = _signed(terms, d)
 
     def combination(row, i, keep=()):
         # the terms of nonzero weight, and those of zero weight in keep
-        parts = [f"{c!r} * k{j}_{i}" for j, c in enumerate(row) if c or j in keep]
+        parts = [f"{-c if negated[i] else c!r} * k{j}_{i}"
+                 for j, c in enumerate(row) if c or j in keep]
         return f"z_{i} + h * ({' + '.join(parts)})"
 
     def stage(j, args):
         ks = zs.replace("z_", f"k{j}_")
         return [
             "        try:",
-            *_stage(ks, args, terms),
+            *_stage(ks, args, entries),
             "        except non_finite:",
             f"            {ks.replace(', ', ' = ')} = nan",
         ]
@@ -458,9 +510,10 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
         lines += [f"        b_{i} = abs(y_{i})",
                   f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a_{i} if a_{i} >= b_{i} else b_{i}))"]
-    squares = _numpy_sum_source([f"e_{i} * e_{i}" for i in comps])
+    squares = [f"e_{i} * e_{i}" for i in comps]
+    squares = " + ".join(squares) if d < 8 else _numpy_sum_source(squares)
     lines += [
-        f"        err = sqrt({squares} / {d})",
+        f"        err = sqrt(({squares}) / {d})",
         # a non-finite y or w makes err nan or inf, so err <= 1 implies finite
         "        if err <= 1.0:",
         "            t += h",
@@ -509,14 +562,16 @@ def rkf45_path(rhs, z0, t_final, rel_tol, abs_tol, stride, observe):
 
 
 def _make_observer(jet: ex.JetEvaluator):
-    """``(ts, states, es, observe)``: observe(t, z) keeps t, the integrator's
-    list z (new at each sample) and H(z), H = jet.expression written inline
+    """``(ts, states, es, observe)``: observe(t, z) keeps t, the components
+    of the integrator's list z and H(z), H = jet.expression written inline
     on Python floats; it carries that source as its ``watch`` (see _loop),
-    on args = (ts.append, states.append, es.append, retry, the exceptions
-    Python floats raise).  H reads the first 2n components, so a state may
-    carry more (a Jacobian), and rounds as jet.value; where Python floats
-    raise, jet.value is called on float64, which rounds the same but gives
-    inf or nan (a math function of those still raises, as IntegrationError)."""
+    on args = (ts.append, states.extend, es.append, retry, the exceptions
+    Python floats raise).  states is one flat list of floats, the samples
+    one after another, which a flow makes one array of.  H reads the first
+    2n components, so a state may carry more (a Jacobian), and rounds as
+    jet.value; where Python floats raise, jet.value is called on float64,
+    which rounds the same but gives inf or nan (a math function of those
+    still raises, as IntegrationError)."""
     ts, states, es = [], [], []
 
     def retry(t, z):
@@ -526,21 +581,21 @@ def _make_observer(jet: ex.JetEvaluator):
             raise IntegrationError("solution blew up", t) from err
 
     names = ex.coordinate_names("z_{}", jet.n)
-    setup = "ts_append, states_append, es_append, retry, raising = watch"
+    setup = "ts_append, states_extend, es_append, retry, raising = watch"
     body = "\n".join([
         "try:",
         f"    energy = {ex.to_text(jet.expression, names)}",
         "except raising:",
         "    energy = retry(t, z)",
         "ts_append(t)",
-        "states_append(z)",
+        "states_extend(z)",
         "es_append(energy)",
     ])
     lines = ["def make(watch):", "    def observe(t, z):", "        " + setup,
              f"        {', '.join(names)}, = z[:{len(names)}]"]
     lines += ["        " + line for line in body.splitlines()]
     lines.append("    return observe")
-    args = (ts.append, states.append, es.append, retry, _NON_FINITE)
+    args = (ts.append, states.extend, es.append, retry, _NON_FINITE)
     observe = ex.define("\n".join(lines) + "\n", "make", __name__)(args)
     observe.watch = ((setup, body), args)
     return ts, states, es, observe
@@ -569,21 +624,24 @@ def _path(spec: FlowSpec, rhs, z0, observe) -> None:
 
 
 def integrate(spec: FlowSpec, z0: PhasePoint) -> Trajectory:
-    """Numerically solve zdot = X^q_H(z) from z0 and sample the result."""
+    """Numerically solve zdot = X^q_H(z) from z0 and sample the result: the
+    observer's flat list of sample components becomes one float64 array."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
-    ts, zs, es, observe = _make_observer(f.jet)
+    ts, states, es, observe = _make_observer(f.jet)
     _path(spec, f.compiled_field, z0.as_array(), observe)
-    return _trajectory(spec, ts, np.array(zs), es)
+    return _trajectory(spec, ts, np.array(states).reshape(len(ts), -1), es)
 
 
 def integrate_variational(spec: FlowSpec, z0: PhasePoint) -> VariationalFlow:
-    """Co-integrate the flow with Ddot = (dX^q_H/dz) D, D(0) = I."""
+    """Co-integrate the flow with Ddot = (dX^q_H/dz) D, D(0) = I.  The
+    observer's flat list of sample states, z then D row by row, becomes one
+    float64 array, which the trajectory and the Jacobians slice."""
     f = HamiltonianField(spec.hamiltonian, spec.q)
     n2 = 2 * spec.n
     # H reads the first 2n entries of the state
     ts, states, es, observe = _make_observer(f.jet)
     _path(spec, f.variational_rhs, np.concatenate([z0.as_array(), np.eye(n2).ravel()]), observe)
-    states = np.array(states)
+    states = np.array(states).reshape(len(ts), -1)
     trajectory = _trajectory(spec, ts, states[:, :n2], es)
     return VariationalFlow(trajectory, states[:, n2:].reshape(len(ts), n2, n2))
 
@@ -666,6 +724,8 @@ def trajectory_csv(trajectory: Trajectory) -> str:
         + ",H"
     )
     lines = [header]
-    for t, z, h in zip(trajectory.ts, trajectory.zs, trajectory.energies):
+    # Python floats, whose .17g text is that of np.float64
+    for t, z, h in zip(trajectory.ts.tolist(), trajectory.zs.tolist(),
+                       trajectory.energies.tolist()):
         lines.append(",".join(f"{v:.17g}" for v in (t, *z, h)))
     return "\n".join(lines) + "\n"

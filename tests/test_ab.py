@@ -48,3 +48,37 @@ def test_worse_frac_is_relative_to_the_parent_median():
     assert ab.compare(PARENT, slower, "lower")["worse_frac"] == pytest.approx(0.1)
     assert ab.compare([0.0, 0.0], [0.0, 1.0], "lower")["worse_frac"] == float("inf")
     assert ab.compare([0.0, 0.0], [0.0, 0.0], "lower")["worse_frac"] == 0.0
+
+
+def _checkout(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_a_benchmark_that_differs_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # each side runs its own bench/run.py: the pairs compare the program only
+    # where BENCHMARK.json and every bench/*.py are the same bytes
+    same = {"BENCHMARK.json": b"{}", "bench/run.py": b"print()", "bench/README.md": b"a",
+            "src/defham/dynamics.py": b"old"}
+    parent = _checkout(tmp_path / "parent", same)
+    change = _checkout(tmp_path / "change", {**same, "src/defham/dynamics.py": b"new",
+                                             "bench/README.md": b"b"})
+    assert ab.bench_differences(parent, change) == []
+    _checkout(change, {"bench/run.py": b"print(1)", "bench/extra.py": b"", "BENCHMARK.json": b"[]"})
+    assert ab.bench_differences(parent, change) == \
+        ["BENCHMARK.json", "bench/extra.py", "bench/run.py"]
+    monkeypatch.setattr(ab, "run_once", lambda *args: pytest.fail("a pair ran"))
+    argv = [str(parent), str(change), "--workload", "scenario_suite", "--pairs", "2"]
+    assert ab.main(argv) == 2
+    assert capsys.readouterr().err == ("error: the benchmark differs between the checkouts: "
+                                       "BENCHMARK.json, bench/extra.py, bench/run.py\n")
+
+
+def test_no_pairs_is_a_usage_error(tmp_path):
+    # zero pairs left every median undefined: an IndexError, exit 1
+    with pytest.raises(SystemExit) as exit_:
+        ab.main([str(tmp_path), str(tmp_path), "--workload", "scenario_suite", "--pairs", "0"])
+    assert exit_.value.code == 2

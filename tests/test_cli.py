@@ -536,6 +536,21 @@ class TestRun:
     def test_kind_input_is_invalid_for_validate_and_run(self, tmp_path, base, change, message):
         assert_invalid_for_validate_and_run(tmp_path, base, change, message)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000, b"\xff\xfe" + json.dumps(classify_doc()).encode("utf-16-le")],
+        ids=["nested_brackets", "not_utf8"],
+    )
+    def test_unreadable_file_is_invalid_for_validate_and_run(self, tmp_path, capsys, content):
+        # json raised RecursionError, read_text UnicodeDecodeError: both
+        # were tracebacks with exit 1
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert run_scenario(path, tmp_path) == EXIT_INVALID
+        assert not (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err.count("error: invalid scenario: cannot read scenario: ") == 2
+
     def test_long_sum_runs(self, tmp_path):
         # a sum is one tree level per term; its generated source nests no brackets
         doc = json.loads((SCENARIOS / "oscillator_energy.json").read_text())

@@ -8,6 +8,7 @@ harmonic oscillator at q = 1, and Runge-Kutta order measured by step halving.
 import functools
 import gc
 import math
+import re
 import sys
 import types
 import weakref
@@ -39,7 +40,7 @@ from defham.phase import PhasePoint, wrap_angles
 
 from conftest import evaluate_jet, random_polynomial_expr, random_point
 from test_expr import N_RANDOM, RANDOM_TREES
-from test_morse import SYSTEMS, circle_spec
+from test_morse import SYSTEMS, circle_spec, torus_spec
 
 OSC = "(x1^2 + y1^2)/2"
 
@@ -562,6 +563,41 @@ def _fused_and_generic(path, rhs, z0, *args):
     return _observed(path, rhs, z0, *args), _observed(path, lambda z: rhs(z), z0, *args)
 
 
+def _without_cause(observed):
+    """An observed path with its IntegrationError as (message, t): the two
+    loops may evaluate a raising stage's entries in other orders, so the
+    first to raise, the error's cause, may differ."""
+    seen, error, z = observed
+    return seen, error and error[:2], z
+
+
+def _recorded_loops(monkeypatch):
+    """The list of the sources of the loops generated from here on in the
+    test, the loop caches emptied first."""
+    generated = []
+    define = ex.define
+
+    def recording(source, name, module, **env):
+        if name == "loop":
+            generated.append(source)
+        return define(source, name, module, **env)
+
+    monkeypatch.setattr(ex, "define", recording)
+    dynamics._rk4_loop.cache_clear()
+    dynamics._rkf45_loop.cache_clear()
+    return generated
+
+
+def _tree(text):
+    return ex.parse(text, N_RANDOM)
+
+
+# a stage value c * (e) with c = +-1.0, or a scaled or bare entry e = -(...)
+_UNIT_OR_NEG_ENTRY = re.compile(r" = (-?1\.0 \* \(|(\S+ \* )?\(-)")
+_STARTS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                   min_size=2 * N_RANDOM, max_size=2 * N_RANDOM)
+
+
 class TestFusedLoop:
     """A compiled rhs (expr.compile_scaled: the compiled field, _System.rhs)
     runs in a loop that inlines its terms; the loop must round as the generic
@@ -689,6 +725,65 @@ class TestFusedLoop:
         if integrator == "rk4":
             assert fused[1][2] is error
 
+    def test_fused_stages_carry_no_unit_scale_or_negation(self, monkeypatch):
+        # the golden circle at q = 1 and 1/2, the torus (entries -sin, a Neg)
+        # and the oscillator field at q = 1 and 0.5, in both schemes
+        def observe(t, z):
+            pass
+
+        sources = _recorded_loops(monkeypatch)
+        for q in (1.0, 0.5):
+            rhs = _System(circle_spec(q), MorseOptions()).rhs
+            rkf45_path(rhs, [0.03, 1.02, -0.5, 0.04], 0.1, 1e-10, 1e-12, 1, observe)
+        rkf45_path(_System(torus_spec(), MorseOptions()).rhs, [0.02, 0.03], 0.1, 1e-10, 1e-12, 1,
+                   observe)
+        for q in (1.0, 0.5):
+            rhs = HamiltonianField(ex.parse(OSC, 1), q).compiled_field
+            dynamics.rk4_path(rhs, [1.0, 2.0], 0.1, 1e-2, 1, observe)
+            rkf45_path(rhs, [1.0, 2.0], 0.1, 1e-10, 1e-12, 1, observe)
+        assert len(sources) == 7 and not any("rhs(" in source for source in sources)
+        assert [source for source in sources if _UNIT_OR_NEG_ENTRY.search(source)] == []
+        # the oscillator's x-entry -1.0 * (z_0) is stored as z_0, and RK4 negates it
+        osc = sources[3]
+        assert "a_1 = (z_0)" in osc and "s_1 = z_1 - half * a_1" in osc
+        assert "z_1 = z_1 + sixth * (((-a_1 - 2.0 * b_1) - 2.0 * c_1) - e_1)" in osc
+        # a Const entry keeps its scale: dH/dx1 = 0 is -1.0 * (0.0)
+        rhs = HamiltonianField(ex.parse("y1^2/2 + 3*y1", 1), 0.5).compiled_field
+        sources = _recorded_loops(monkeypatch)
+        dynamics.rk4_path(rhs, [0.25, -0.0], 0.1, 1e-2, 1, observe)
+        rkf45_path(rhs, [0.25, -0.0], 0.1, 1e-10, 1e-12, 1, observe)
+        assert ["a_1 = -1.0 * (0.0)" in sources[0], "k0_1 = -1.0 * (0.0)" in sources[1]] == \
+            [True, True]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(RANDOM_TREES, st.sampled_from([1.0, 0.5, -2.0, -1.0]), _STARTS)
+    @example(_tree("cos(x1) + cos(x2) - y1*y2"), -2.0, [-0.0, 0.0, 0.5, -0.0])
+    @example(_tree("-(x1*y1) + y2^2/2"), 1.0, [-0.0, -0.0, -0.0, 1.0])
+    @example(_tree("x1 - y2"), -1.0, [-0.0, -0.0, -0.0, -0.0])
+    def test_random_fields_match_the_generic_loop(self, h, q, z0):
+        # every sign and scale case of _signed: Neg entries, c = +-1.0 and
+        # other scales, on zeros of both signs
+        rhs = _field_of(h, q).compiled_field
+        for path, args in ((dynamics.rk4_path, (0.5, 0.05, 1)),
+                           (rkf45_path, (0.5, 1e-8, 1e-10, 1))):
+            fused, generic = _fused_and_generic(path, rhs, z0, *args)
+            assert _without_cause(fused) == _without_cause(generic)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_constant_entry_with_no_float_ends_both_loops_alike(self, integrator):
+        # dH/dy1 = 10^400 has no float: its entry keeps its scale, so the
+        # stage raises inside the loop's try; a bare int would raise
+        # OverflowError from RKF45's y sum instead of a quartered step
+        rhs = HamiltonianField(ex.parse("10^400*y1 + 1/x1", 1), 1.0).compiled_field
+        path, args = (dynamics.rk4_path, (1.0, 1e-2, 1)) if integrator == "rk4" else (
+            rkf45_path, (1.0, 1e-9, 1e-11, 1))
+        fused, generic = _fused_and_generic(path, rhs, [0.0, 1.0], *args)
+        assert _without_cause(fused) == _without_cause(generic)
+        message = ("solution blew up at t=0.01" if integrator == "rk4"
+                   else "step size underflow (stiff blow-up) at t=0")
+        assert fused[1][0] == message and fused[2] is None
+
     def test_rhs_without_weak_references_takes_the_generic_loop(self):
         # a ufunc carries no terms, so the loop calls it at every stage
         assert getattr(np.negative, "terms", None) is None
@@ -699,17 +794,7 @@ class TestFusedLoop:
     def test_one_loop_per_scheme_and_watch_kind(self, monkeypatch):
         # loops are cached by (d, terms, watch source): equal fields and
         # equal systems share them, and a repeated flow generates none
-        generated = []
-        define = ex.define
-
-        def counting(source, name, module, **env):
-            if name == "loop":
-                generated.append(source)
-            return define(source, name, module, **env)
-
-        monkeypatch.setattr(ex, "define", counting)
-        dynamics._rk4_loop.cache_clear()
-        dynamics._rkf45_loop.cache_clear()
+        generated = _recorded_loops(monkeypatch)
         z0 = [1.0, 2.0]
         for _ in range(2):
             field = HamiltonianField(ex.parse(OSC, 1), 0.5)
@@ -984,10 +1069,6 @@ _STATES = st.lists(
 )
 
 
-def _tree(text):
-    return ex.parse(text, N_RANDOM)
-
-
 class TestObserver:
     @settings(
         max_examples=400, deadline=None, derandomize=True, database=None,
@@ -1014,7 +1095,7 @@ class TestObserver:
             return
         with np.errstate(all="ignore"):
             observe(0.5, list(z))
-        assert ts == [0.5] and states == [z]
+        assert ts == [0.5] and states == z
         # bytes, so the sign of a zero and of a nan count
         assert np.array(es, dtype=float).tobytes() == np.array([want], dtype=float).tobytes()
 

@@ -677,12 +677,69 @@ class TestEvaluate:
         assert struct.pack("<d", ex.evaluate(e, z)) == struct.pack("<d", want)
 
 
-def _codegen(e, floats=True):
+def _binary_power(v):
+    """Whether the Fraction v is +-2^k."""
+    return v != 0 and bin(abs(v.numerator)).count("1") == bin(v.denominator).count("1") == 1
+
+
+def _has_float(v):
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+def _fold(e):
+    """``(c, core)`` where the chain of constant scalings headed by ``e``
+    prints as ``c*core`` (``core`` if c = 1) by the rule of to_text's
+    docstring, else None: two or more Mul and Div nodes by a constant, each
+    divisor +-2^k and at most one constant not, or a constant with no
+    finite float; c exact and float(c) normal."""
+    factors, divisors = [], []
+    while True:
+        if isinstance(e, ex.Mul) and isinstance(e.a, ex.Const):
+            factors.append(e.a.value)
+            e = e.b
+        elif isinstance(e, ex.Mul) and isinstance(e.b, ex.Const):
+            factors.append(e.b.value)
+            e = e.a
+        elif isinstance(e, ex.Div) and isinstance(e.b, ex.Const):
+            divisors.append(e.b.value)
+            e = e.a
+        else:
+            break
+    if len(factors) + len(divisors) < 2 or 0 in divisors:
+        return None
+    exact = (all(map(_binary_power, divisors))
+             and sum(not _binary_power(v) for v in factors) <= 1)
+    if not exact and all(map(_has_float, factors + divisors)):
+        return None
+    c = Fraction(1)
+    for v in factors:
+        c *= v
+    for v in divisors:
+        c /= v
+    try:
+        f = float(c)
+    except OverflowError:
+        return None
+    return None if abs(f) < sys.float_info.min else (c, e)
+
+
+def _codegen(e, floats=True, fold=False):
     """The fully parenthesized Python source of ``e``: the reference for the
     printer's Python source, ``to_text(e, coordinate_names("z[{}]", e.n))``.
     A constant c is written as ``repr(float(c))`` where float(c) is finite
     and exactly otherwise; with ``floats`` False every constant is written
-    exactly, as the compiled functions were once generated."""
+    exactly, as the compiled functions were once generated.  With ``fold``
+    a chain that _fold folds is written ``((c)*core)``, or ``core`` if c = 1."""
+    if fold and isinstance(e, (ex.Mul, ex.Div)):
+        chain = _fold(e)
+        if chain is not None:
+            c, core = chain
+            core = _codegen(core, floats, fold)
+            return core if c == 1 else f"(({float(c)!r})*{core})"
     if isinstance(e, ex.Const):
         v = e.value
         if floats:
@@ -697,19 +754,19 @@ def _codegen(e, floats=True):
         offset = 0 if e.kind == "x" else e.n
         return f"z[{offset + e.index - 1}]"
     if isinstance(e, ex.Add):
-        return f"({_codegen(e.a, floats)}+{_codegen(e.b, floats)})"
+        return f"({_codegen(e.a, floats, fold)}+{_codegen(e.b, floats, fold)})"
     if isinstance(e, ex.Sub):
-        return f"({_codegen(e.a, floats)}-{_codegen(e.b, floats)})"
+        return f"({_codegen(e.a, floats, fold)}-{_codegen(e.b, floats, fold)})"
     if isinstance(e, ex.Mul):
-        return f"({_codegen(e.a, floats)}*{_codegen(e.b, floats)})"
+        return f"({_codegen(e.a, floats, fold)}*{_codegen(e.b, floats, fold)})"
     if isinstance(e, ex.Div):
-        return f"({_codegen(e.a, floats)}/{_codegen(e.b, floats)})"
+        return f"({_codegen(e.a, floats, fold)}/{_codegen(e.b, floats, fold)})"
     if isinstance(e, ex.Pow):
-        return f"({_codegen(e.base, floats)}**({e.exponent}))"
+        return f"({_codegen(e.base, floats, fold)}**({e.exponent}))"
     if isinstance(e, ex.Neg):
-        return f"(-{_codegen(e.a, floats)})"
+        return f"(-{_codegen(e.a, floats, fold)})"
     if isinstance(e, ex.Call):
-        return f"{e.func}({_codegen(e.arg, floats)})"
+        return f"{e.func}({_codegen(e.arg, floats, fold)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -748,14 +805,18 @@ _X2 = ex.Var(N_RANDOM, "x", 2)
 class TestPrinter:
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(SOURCE_TREES)
+    # a chain that folds: -1.0*z[2], not (((-2.0)*z[2])/(2.0))
+    @example(ex.div(ex.mul(ex.const(-2, 2), ex.var("y", 1, 2)), ex.const(2, 2)))
     def test_python_source_parses_as_the_fully_parenthesized_source(self, e):
-        # equal ASTs compile to equal code; c * (e) is how a fused loop
-        # inlines an entry of a compiled rhs
+        # equal ASTs compile to equal code
         source = ex.to_text(e, ex.coordinate_names("z[{}]", e.n))
-        assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(_codegen(e)))
-        assert ast.dump(ast.parse(f"-1.0 * ({source})")) == ast.dump(
-            ast.parse(f"-1.0 * {_codegen(e)}")
-        )
+        oracle = _codegen(e, fold=True)
+        assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(oracle))
+        # how a fused loop inlines an entry of a compiled rhs (dynamics._stage):
+        # c * (e), or (e) where the scale is +-1
+        for entry in ("-0.5 * ({})", "({})"):
+            assert ast.dump(ast.parse(entry.format(source))) == \
+                ast.dump(ast.parse(entry.format(oracle)))
 
     @settings(
         max_examples=400, deadline=None, derandomize=True, database=None,

@@ -12,7 +12,11 @@ median better by more than the parent's IQR) and whether the change's
 median is worse than the parent's by at most the metric's bound, taken
 relative to the parent's median.  The raw runs go to
 ``.bench_out/ab-<W>.json`` under the directory this is run from.  Exits 1
-if a run fails or a metric is out of its bound.
+if a run fails or a metric is out of its bound.  Each side runs its own
+``bench/run.py``, so the pairs compare the program only where the
+benchmark is the same: if ``BENCHMARK.json`` or a ``bench/*.py`` file
+differs in bytes between the two checkouts (or is on one side only), it
+names those files and exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -61,6 +65,22 @@ def claim_holds(stats: dict) -> bool:
     return 10 * stats["wins"] >= 9 * stats["pairs"] and stats["gain"] > stats["parent_iqr"]
 
 
+def bench_differences(parent: Path, change: Path) -> list:
+    """The benchmark files, ``BENCHMARK.json`` and ``bench/*.py`` relative to
+    a checkout, whose bytes differ between ``parent`` and ``change``."""
+    names = {"BENCHMARK.json"} | {f"bench/{path.name}" for side in (parent, change)
+                                  for path in side.glob("bench/*.py")}
+    return sorted(name for name in names
+                  if _read(parent / name) != _read(change / name))
+
+
+def _read(path: Path):
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last stdout line of one untraced bench run, as a dict, with the
     exit code under ``returncode``."""
@@ -84,6 +104,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    differing = bench_differences(args.parent, args.change)
+    if differing:
+        print(f"error: the benchmark differs between the checkouts: {', '.join(differing)}",
+              file=sys.stderr)
+        return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {"parent": [], "change": []}
