@@ -403,14 +403,14 @@ def _numpy_sum_source(terms: list[str]) -> str:
 
     Below 8 terms that is left to right.  Up to 128 terms it is eight
     interleaved partial sums, combined as a tree, plus a left-to-right
-    tail.  Longer vectors are split in two at a multiple of 8.
+    tail.  Longer vectors are split in two at a multiple of 8.  Every sum
+    starts at its first term, where numpy adds to 0.0: that changes only a
+    sum whose terms are all -0.0, which gives -0.0 here and 0.0 in numpy.
+    The one caller sums squares, and a square is never -0.0.
     """
     n = len(terms)
     if n < 8:
-        total = "0.0"
-        for term in terms:
-            total = f"({total} + {term})"
-        return total
+        return f"({' + '.join(terms)})"
     if n > 128:
         half = n // 2
         half -= half % 8
@@ -446,7 +446,9 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     is -0.0 only where x and y both are.  A non-finite k5 still makes y
     non-finite through its weight 2/55, and a non-finite k1 makes w so
     through ``0.0 * k1``; err is then nan, as in the array form, and the
-    step is quartered.  The mean squares are summed in numpy's order;
+    step is quartered.  The mean squares are summed in numpy's order
+    (_numpy_sum_source) from the first square, not from numpy's 0.0: a
+    square is never -0.0, so that changes no bit;
     ``min`` and ``max`` are comparisons that pick the same operand, nan
     included.  |z_i| is a_i, the |y_i| of the step that made z (z_i is y_i
     there), and |t| is t (t starts at +0.0 and only adds positive steps):
@@ -461,9 +463,7 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     A fused component that _signed marks negated holds -k_i at each stage,
     so every weight that reads it, in the stage arguments and in y and w,
     is written -c: term by term (-c)*(-k) is c*k in IEEE 754, signed zeros
-    included, so w's kept ``0.0 * k1`` becomes ``-0.0 * k1``.  The sum of
-    squares starts at its first term: a square is never -0.0, so the
-    ``0.0 +`` of numpy's order changes no bit.
+    included, so w's kept ``0.0 * k1`` becomes ``-0.0 * k1``.
 
     The watch source (see _loop) runs on the watch's args, the last
     argument: setup once, body at every sample.  body must not assign the
@@ -510,10 +510,9 @@ def _rkf45_loop(d: int, terms: Optional[tuple], watch: tuple) -> Callable:
     for i in comps:  # np.maximum(a, b) is a if a >= b else b
         lines += [f"        b_{i} = abs(y_{i})",
                   f"        e_{i} = (y_{i} - w_{i}) / (abs_tol + rel_tol * (a_{i} if a_{i} >= b_{i} else b_{i}))"]
-    squares = [f"e_{i} * e_{i}" for i in comps]
-    squares = " + ".join(squares) if d < 8 else _numpy_sum_source(squares)
+    squares = _numpy_sum_source([f"e_{i} * e_{i}" for i in comps])
     lines += [
-        f"        err = sqrt(({squares}) / {d})",
+        f"        err = sqrt({squares} / {d})",
         # a non-finite y or w makes err nan or inf, so err <= 1 implies finite
         "        if err <= 1.0:",
         "            t += h",
